@@ -33,7 +33,7 @@ from .csvio import file_digest, load_cir_csv, write_csv
 from .errors import ConfigError, SubtrackError
 from .linalg_spectral import evd_hermitian, truncate_subspace
 from .metrics import cross_path_coherence, eigenvalue_spectrum
-from .pipeline import ALGORITHMS
+from .pipeline import ALGORITHMS, shared_front_end
 
 SYMBOL_SEED_OFFSET = 1_000_000
 NOISE_SEED_OFFSET = 2_000_000
@@ -72,9 +72,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> dict:
         raise ConfigError(
             f"tracker.n_train {tracker.n_train} must be smaller than the "
             f"{traj.n_steps}-step record")
-    results = {}
-    for algo in cfg.run.algos:
-        results[algo] = ALGORITHMS[algo](obs, tracker)
+    with shared_front_end():
+        results = {algo: ALGORITHMS[algo](obs, tracker) for algo in cfg.run.algos}
     return {"seed": seed, "results": results}
 
 

@@ -6,7 +6,7 @@ block row holds the per-lag diagonal coefficient blocks.  This module supplies
 the forward update/prediction steps, the running autocorrelation table that
 feeds per-step re-fits of the transition model, the inverted (backward-time)
 model, and the two-filter combination of forward and backward filtered
-beliefs.
+beliefs, one step at a time (:func:`fb_combine`) or batched (:func:`fb_fuse`).
 """
 
 from dataclasses import dataclass, field
@@ -272,8 +272,8 @@ def backward_model(model: ArTransitionModel) -> BackwardModel:
 
 
 def _hermitian_inverse_apply(cov: np.ndarray, targets: list) -> Optional[list]:
-    """Solve ``cov @ X = target`` for each target, ridging once if singular."""
-    cov = 0.5 * (cov + cov.conj().T)
+    """Solve ``cov @ X = target`` for each target, with ``cov`` Hermitian (or a stack
+    of them), ridging once by ``1e-12 * trace`` of each matrix if singular."""
     for attempt in range(2):
         try:
             solved = [np.linalg.solve(cov, t) for t in targets]
@@ -281,9 +281,9 @@ def _hermitian_inverse_apply(cov: np.ndarray, targets: list) -> Optional[list]:
             solved = None
         if solved is not None and all(np.isfinite(s).all() for s in solved):
             return solved
-        ridge = 1e-12 * float(np.trace(cov).real)
-        if attempt == 0 and ridge > 0:
-            cov = cov + ridge * np.eye(cov.shape[0])
+        ridge = 1e-12 * np.trace(cov, axis1=-2, axis2=-1).real
+        if attempt == 0 and (ridge > 0).all():
+            cov = cov + ridge[..., None, None] * np.eye(cov.shape[-1])
         else:
             return None
     return None
@@ -299,15 +299,28 @@ def fb_combine(fwd: KalmanBelief, bwd: KalmanBelief) -> SmoothedState:
         raise InvalidInputError("fb_combine: both beliefs must be filtered")
     dim = fwd.mean.size
     eye = np.eye(dim, dtype=np.complex128)
-    f_parts = _hermitian_inverse_apply(fwd.cov, [eye, fwd.mean])
-    b_parts = _hermitian_inverse_apply(bwd.cov, [eye, bwd.mean])
+    f_parts = _hermitian_inverse_apply(0.5 * (fwd.cov + fwd.cov.conj().T), [eye, fwd.mean])
+    b_parts = _hermitian_inverse_apply(0.5 * (bwd.cov + bwd.cov.conj().T), [eye, bwd.mean])
     if f_parts is None or b_parts is None:
         sides = [name for name, part in (("forward", f_parts), ("backward", b_parts))
                  if part is None]
         raise FusionError(f"fb_combine: singular covariance on {' and '.join(sides)} side")
     info = f_parts[0] + b_parts[0]
-    combined = _hermitian_inverse_apply(info, [eye, f_parts[1] + b_parts[1]])
+    combined = _hermitian_inverse_apply(0.5 * (info + info.conj().T),
+                                        [eye, f_parts[1] + b_parts[1]])
     if combined is None:
         raise FusionError("fb_combine: combined information matrix is singular")
     cov = 0.5 * (combined[0] + combined[0].conj().T)
     return SmoothedState(mean=combined[1], cov=cov)
+
+
+def fb_fuse(means_f: np.ndarray, covs_f: np.ndarray, means_b: np.ndarray,
+            covs_b: np.ndarray) -> np.ndarray:
+    """Fused means of ``(N, d)`` forward/backward filtered means and their
+    ``(N, d, d)`` covariances, in one solve: ``Z = Z_f + K_f (K_f + K_b)^-1
+    (Z_b - Z_f)``, the mean of :func:`fb_combine` without its covariance.  The
+    covariances must be Hermitian; their sum is not re-symmetrised."""
+    solved = _hermitian_inverse_apply(covs_f + covs_b, [(means_b - means_f)[..., None]])
+    if solved is None:
+        raise FusionError("fb_fuse: forward plus backward covariance is singular")
+    return means_f + (covs_f @ solved[0])[..., 0]

@@ -4,9 +4,12 @@ and the dynamic forward-backward variant, plus their derived metrics.
 All three runners consume an :class:`~subtrack.channel_sim.ObservationSequence`
 and a :class:`TrackerConfig` and return a :class:`TrackResult`.  The
 forward-only tracker and the forward-backward tracker share one engine, so
-disabling every enhancement flag reproduces the baseline bit for bit.
+disabling every enhancement flag reproduces the baseline bit for bit; within
+:func:`shared_front_end` the runners share one LMS, coarse fit and PAST-d pass.
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,14 +18,16 @@ import numpy as np
 from .channel_sim import ObservationSequence
 from .coarse_est import LmsConfig, fit_coarse_model, lms_residuals, lms_track
 from .errors import InvalidInputError
+# fb_combine is unused here but stays bound: the benchmark's tracer wraps it.
 from .kalman_core import (KalmanBelief, ObservationRow, RecursiveAutocorr,
-                          backward_model, fb_combine, kf_predict, kf_update,
-                          predict_transition)
+                          backward_model, fb_combine, fb_fuse, kf_predict,
+                          kf_update, predict_transition)
 from .metrics import (DEFAULT_FLOOR_DB, CoherenceMatrix, cross_path_coherence,
                       eigenvalue_spectrum, normalized_prediction_error)
 from .subspace_tracking import PastdTracker
 
 BACKWARD_PRIOR_SCALE = 1e3
+_SHARED = contextvars.ContextVar("subtrack_shared_front_end", default=None)
 
 
 @dataclass
@@ -94,6 +99,55 @@ def _filter_noise_variance(cfg: TrackerConfig, obs: ObservationSequence,
     return max(value, floor, 1e-300)
 
 
+@contextlib.contextmanager
+def shared_front_end():
+    """Let the runners share LMS, the coarse fit and PAST-d on one record.
+
+    Inside the scope each front end is built once per observation object and
+    setting it depends on, with results bit-identical to separate calls; the
+    observations must not change meanwhile.  The memo is per thread.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(obs: ObservationSequence, key: tuple, build):
+    memo = _SHARED.get()
+    if memo is None:
+        return build()
+    key = (id(obs),) + key
+    if key not in memo:  # holding obs keeps its id unique while the memo lives
+        memo[key] = (obs, build())
+    return memo[key][1]
+
+
+def _lms(obs: ObservationSequence, cfg: TrackerConfig) -> np.ndarray:
+    lms_cfg = LmsConfig(mu=cfg.mu, n_taps=obs.d.shape[1])
+    return _shared(obs, ("lms", cfg.mu), lambda: lms_track(obs.d, obs.r, lms_cfg))
+
+
+def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
+    """LMS over the whole record -> coarse model fit on its training prefix ->
+    PAST-d basis sequence ``q_seq`` (N, K, r) driven by the LMS estimates."""
+    def build():
+        h_lms = _lms(obs, cfg)
+        coarse = fit_coarse_model(obs.d, obs.r, cfg.n_train, cfg.rank, cfg.order,
+                                  LmsConfig(mu=cfg.mu), h_lms=h_lms)
+        powers = np.maximum(coarse.eigenvalues[:cfg.rank],
+                            max(1e-12 * max(coarse.eigenvalues[0], 0.0), 1e-20))
+        pastd = PastdTracker(coarse.basis, powers, beta=cfg.beta,
+                             reorth_period=cfg.reorth_period)
+        q_seq = np.empty(obs.d.shape + (cfg.rank,), dtype=np.complex128)
+        for n in range(len(h_lms)):
+            q_seq[n] = pastd.step(h_lms[n])
+        return h_lms, coarse, q_seq
+    return _shared(obs, ("front", cfg.mu, cfg.n_train, cfg.rank, cfg.order,
+                         cfg.beta, cfg.reorth_period), build)
+
+
 def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: str,
                           dynamic_phi: bool, correlated_noise: bool,
                           fb_smoothing: bool) -> TrackResult:
@@ -107,26 +161,17 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     n_train = cfg.n_train
     dim = rank * order
 
-    # Training phase: coarse LMS estimates drive the model fit; the LMS keeps
-    # running over the whole record to feed the subspace tracker.
-    lms_cfg = LmsConfig(mu=cfg.mu, n_taps=n_taps)
-    h_lms = lms_track(obs.d, obs.r, lms_cfg)
-    coarse = fit_coarse_model(obs.d, obs.r, n_train, rank, order, lms_cfg, h_lms=h_lms)
+    h_lms, coarse, q_seq = _front_end(obs, cfg)
     noise_cov = coarse.noise_full if correlated_noise else coarse.noise_diag
     model = coarse.model.with_noise(noise_cov)
     sigma = _filter_noise_variance(cfg, obs, h_lms)
 
-    powers = np.maximum(coarse.eigenvalues[:rank],
-                        max(1e-12 * max(coarse.eigenvalues[0], 0.0), 1e-20))
-    pastd = PastdTracker(coarse.basis, powers, beta=cfg.beta,
-                         reorth_period=cfg.reorth_period)
-
-    q_seq = np.empty((n_steps, n_taps, rank), dtype=np.complex128)
     rows = np.empty((n_steps, dim), dtype=np.complex128)
     xi_fwd = np.empty(n_steps, dtype=np.complex128)
     means_f = np.empty((n_steps, dim), dtype=np.complex128)
-    covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128)
     phi_traj = np.empty((n_steps, rank), dtype=np.float64)
+    # Only the backward pass and the fusion read these.
+    covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128) if fb_smoothing else None
     prediction_models = []
 
     pred = KalmanBelief(mean=np.zeros(dim, dtype=np.complex128),
@@ -136,18 +181,17 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     running = RecursiveAutocorr(rank, order)
 
     for n in range(n_steps):
-        q_n = pastd.step(h_lms[n])
-        q_seq[n] = q_n
-        d_z = obs.d[n] @ q_n
+        d_z = obs.d[n] @ q_seq[n]
         obs_row = ObservationRow.from_projected(d_z, order, sigma)
         rows[n] = obs_row.row
         upd = kf_update(pred, obs_row, obs.r[n])
         means_f[n] = upd.belief.mean
-        covs_f[n] = upd.belief.cov
         xi_fwd[n] = upd.innovation
         pred = kf_predict(upd.belief, model)
         phi_traj[n] = np.abs(model.phi[:, 0])
-        prediction_models.append(model)
+        if fb_smoothing:
+            covs_f[n] = upd.belief.cov
+            prediction_models.append(model)
         if dynamic_phi:
             running.update(pred.mean[:rank])
             if n + 1 >= n_train:
@@ -169,14 +213,9 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
                 back = backward_model(prediction_models[n - 1])
                 pred_b = kf_predict(upd_b.belief, back)
 
-        z_out = np.empty((n_steps, rank), dtype=np.complex128)
-        xi_out = np.empty(n_steps, dtype=np.complex128)
-        for n in range(n_steps):
-            smoothed = fb_combine(
-                KalmanBelief(mean=means_f[n], cov=covs_f[n], kind="filtered"),
-                KalmanBelief(mean=means_b[n], cov=covs_b[n], kind="filtered"))
-            z_out[n] = smoothed.mean[:rank]
-            xi_out[n] = obs.r[n] - rows[n] @ smoothed.mean
+        fused = fb_fuse(means_f, covs_f, means_b, covs_b)
+        z_out = fused[:, :rank]
+        xi_out = obs.r - np.einsum("nd,nd->n", rows, fused)
     else:
         z_out = means_f[:, :rank]
         xi_out = xi_fwd
@@ -216,12 +255,11 @@ def run_dfb_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
 
 def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     """Plain LMS channel tracker; its a-priori error is the prediction error."""
-    n_steps, n_taps = obs.d.shape
+    n_steps = obs.d.shape[0]
     if not 0 < cfg.n_train < n_steps:
         raise InvalidInputError(
             f"tracker: need 0 < n_train < n_steps, got {cfg.n_train}, {n_steps}")
-    lms_cfg = LmsConfig(mu=cfg.mu, n_taps=n_taps)
-    h_lms = lms_track(obs.d, obs.r, lms_cfg)
+    h_lms = _lms(obs, cfg)
     xi = lms_residuals(obs.d, obs.r, h_lms)
     err_db, mean_db = normalized_prediction_error(xi, obs.r, cfg.floor_db,
                                                   eval_start=cfg.n_train)

@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import subtrack.pipeline as pipeline
 from subtrack.cli import main
 from subtrack.config import load_config
 from subtrack.csvio import (file_digest, format_value, load_cir_csv, read_csv,
                             write_csv)
 from subtrack.errors import ConfigError
+from subtrack.subspace_tracking import PastdTracker
 
 SMALL = [
     "--override", "sim.n_taps=12",
@@ -46,6 +48,37 @@ def test_run_determinism_byte_identical(tmp_path):
                  "coherence_taps.csv", "coherence_components.csv",
                  "eigenspectrum.csv"):
         assert read_body(out1 / name) == read_body(out2 / name), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, threads):
+    lms_calls, trackers = [], []
+    real_lms, real_init = pipeline.lms_track, PastdTracker.__init__
+
+    def counting_init(self, *args, **kwargs):
+        trackers.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "lms_track",
+                        lambda *a, **kw: lms_calls.append(1) or real_lms(*a, **kw))
+    monkeypatch.setattr(PastdTracker, "__init__", counting_init)
+    monkeypatch.setenv("SUBTRACK_THREADS", threads)
+    assert run_cli(["run", *SMALL, "--seeds", "2", "--out", tmp_path / "out",
+                    "--algos", "lms,asrmae,dfb_asrmae"]) == 0
+    assert len(lms_calls) == 2
+    assert len(trackers) == 2
+
+
+def test_run_csvs_independent_of_thread_count(tmp_path, monkeypatch):
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SUBTRACK_THREADS", threads)
+        outs.append(tmp_path / threads)
+        assert run_cli(["run", *SMALL, "--seeds", "3", "--out", outs[-1]]) == 0
+    for name in ("summary.csv", "errors.csv", "phi_traj.csv",
+                 "coherence_taps.csv", "coherence_components.csv",
+                 "eigenspectrum.csv"):
+        assert read_body(outs[0] / name) == read_body(outs[1] / name), name
 
 
 def test_run_emits_expected_files_and_manifest(tmp_path):

@@ -6,8 +6,8 @@ from subtrack.errors import (FusionError, InvalidInputError, NumericError,
                              SingularModelError)
 from subtrack.kalman_core import (ArTransitionModel, KalmanBelief,
                                   ObservationRow, RecursiveAutocorr,
-                                  backward_model, fb_combine, kf_predict,
-                                  kf_update, predict_transition)
+                                  backward_model, fb_combine, fb_fuse,
+                                  kf_predict, kf_update, predict_transition)
 
 
 def belief(mean, cov, kind="predicted"):
@@ -318,6 +318,45 @@ def test_fb_combine_both_singular():
     with pytest.raises(FusionError):
         fb_combine(belief([0.0], [[0.0]], "filtered"),
                    belief([0.0], [[0.0]], "filtered"))
+
+
+def random_hpd_stack(rng, n, dim):
+    a = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    return a @ np.swapaxes(a, -1, -2).conj() + 0.1 * np.eye(dim)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_fb_fuse_matches_per_step_fb_combine(dim):
+    rng = np.random.default_rng(40 + dim)
+    n = 200
+    covs_f, covs_b = random_hpd_stack(rng, n, dim), random_hpd_stack(rng, n, dim)
+    means_f, means_b = (rng.standard_normal((2, n, dim))
+                        + 1j * rng.standard_normal((2, n, dim)))
+    fused = fb_fuse(means_f, covs_f, means_b, covs_b)
+    want = np.array([fb_combine(belief(means_f[i], covs_f[i], "filtered"),
+                                belief(means_b[i], covs_b[i], "filtered")).mean
+                     for i in range(n)])
+    rel = np.linalg.norm(fused - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert rel.max() < 1e-10
+
+
+def test_fb_fuse_ridges_singular_stack_once():
+    # K_f + K_b = diag(2, 0) at every step: the 1e-12 * trace ridge makes it
+    # solvable, and the direction neither filter saw keeps the forward mean.
+    cov = np.tile(np.diag([1.0, 0.0]).astype(complex), (5, 1, 1))
+    means_f = np.tile(np.array([1.0, 2.0], dtype=complex), (5, 1))
+    means_b = np.tile(np.array([3.0, 5.0], dtype=complex), (5, 1))
+    fused = fb_fuse(means_f, cov, means_b, cov)
+    assert_allclose(fused, np.tile([2.0, 2.0], (5, 1)), atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_fb_fuse_unsolvable_raises_fusion_error(bad):
+    covs = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+    covs[2] = bad * np.ones((2, 2))
+    means = np.ones((4, 2), dtype=complex)
+    with pytest.raises(FusionError):
+        fb_fuse(means, covs, means, covs)
 
 
 def test_fb_combine_three_step_scalar_matches_combined_lmmse():

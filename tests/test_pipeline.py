@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from subtrack.channel_sim import (SimConfig, gen_symbols, generate_observations,
                                   synth_latent_channel)
 from subtrack.errors import InvalidInputError
 from subtrack.pipeline import (ALGORITHMS, TrackerConfig, run_asrmae,
-                               run_dfb_asrmae, run_lms)
+                               run_dfb_asrmae, run_lms, shared_front_end)
 
 
 def make_observations(preset="calm", seed=1, snr_db=20.0, **sim_kw):
@@ -127,3 +129,36 @@ def test_validates_rank_and_training_window():
 
 def test_algorithm_registry():
     assert set(ALGORITHMS) == {"lms", "asrmae", "dfb_asrmae"}
+
+
+def test_shared_front_end_bit_identical_to_separate_runs():
+    _, _, obs, _ = make_observations(preset="rough")
+    cfgs = [TrackerConfig(rank=6, n_train=500),
+            TrackerConfig(rank=4, n_train=500, beta=0.995)]
+    runs = [(algo, cfg) for cfg in cfgs for algo in ALGORITHMS]
+    alone = [ALGORITHMS[algo](obs, cfg) for algo, cfg in runs]
+    with shared_front_end():
+        shared = [ALGORITHMS[algo](obs, cfg) for algo, cfg in runs]
+    for a, b in zip(alone, shared):
+        assert np.array_equal(a.h_tracked, b.h_tracked)
+        assert np.array_equal(a.xi, b.xi)
+        assert a.mean_err_db == b.mean_err_db
+
+
+def test_shared_front_end_memo_is_scoped(monkeypatch):
+    import subtrack.pipeline as pipeline
+
+    calls = []
+    real = pipeline.lms_track
+    monkeypatch.setattr(pipeline, "lms_track",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    _, _, obs, _ = make_observations()
+    cfg = TrackerConfig(rank=6, n_train=500)
+    with shared_front_end():
+        run_lms(obs, cfg)
+        run_asrmae(obs, cfg)
+        run_lms(obs, dataclasses.replace(cfg, mu=0.004))
+    assert len(calls) == 2
+    run_lms(obs, cfg)
+    run_lms(obs, cfg)
+    assert len(calls) == 4
