@@ -20,10 +20,9 @@ from .errors import (ConfigError, DegenerateInputError, DivergenceError,
                      FusionError, InvalidInputError, NumericError,
                      SingularModelError, SubtrackError, TrackerStallError,
                      UndefinedMetricError)
-from .kalman_core import (ArTransitionModel, BackwardModel, KalmanBelief,
-                          ObservationRow, RecursiveAutocorr, SmoothedState,
-                          UpdateOutput, backward_model, fb_combine, kf_predict,
-                          kf_update, predict_transition)
+from .kalman_core import (ArTransitionModel, BackwardModel, RecursiveAutocorr,
+                          backward_model, fb_combine, kf_predict, kf_update,
+                          predict_transition)
 from .linalg_spectral import (EigenDecomposition, YuleWalkerSolution,
                               evd_hermitian, solve_yule_walker,
                               truncate_subspace)

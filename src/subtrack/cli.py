@@ -9,16 +9,13 @@ Subcommands::
 
 Shared flags: ``--config PATH``, ``--seed N`` / ``--seeds N``, ``--out DIR``,
 ``--algos LIST``, ``--preset calm|rough``, and repeatable
-``--override section.key=value``.  ``SUBTRACK_THREADS`` caps the number of
-seed-level workers.  Exit codes: 0 success, 2 invalid configuration,
-3 runtime/numeric failure, 4 output I/O failure.
+``--override section.key=value``.  Exit codes: 0 success, 2 invalid
+configuration, 3 runtime/numeric failure, 4 output I/O failure.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -37,19 +34,6 @@ from .pipeline import ALGORITHMS, shared_front_end
 
 SYMBOL_SEED_OFFSET = 1_000_000
 NOISE_SEED_OFFSET = 2_000_000
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("SUBTRACK_THREADS", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"SUBTRACK_THREADS must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise ConfigError(f"SUBTRACK_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 def _simulate(cfg: ExperimentConfig, seed: int):
@@ -100,12 +84,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    workers = min(_max_workers(), max(len(cfg.run.seeds), 1))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(lambda s: _run_seed(cfg, s), cfg.run.seeds))
-    else:
-        per_seed = [_run_seed(cfg, s) for s in cfg.run.seeds]
+    per_seed = [_run_seed(cfg, s) for s in cfg.run.seeds]
 
     files = []
     summary_rows = []
@@ -182,12 +161,7 @@ def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
         _, obs = sims[seed]
         return rank, seed, ALGORITHMS[algo](obs, job_cfg).mean_err_db
 
-    workers = min(_max_workers(), len(jobs))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(job) for job in jobs]
+    outcomes = [one(job) for job in jobs]
 
     rows = []
     for rank in ranks:

@@ -6,7 +6,9 @@ block row holds the per-lag diagonal coefficient blocks.  This module supplies
 the forward update/prediction steps, the running autocorrelation table that
 feeds per-step re-fits of the transition model, the inverted (backward-time)
 model, and the two-filter combination of forward and backward filtered
-beliefs, one step at a time (:func:`fb_combine`) or batched (:func:`fb_fuse`).
+estimates, one step at a time (:func:`fb_combine`) or batched (:func:`fb_fuse`).
+The update, prediction and combination kernels take and return plain
+``(mean, cov)`` arrays.
 """
 
 from dataclasses import dataclass, field
@@ -29,12 +31,13 @@ class ArTransitionModel:
 
     ``phi[i, l-1]`` is component i's lag-l coefficient.  ``noise_cov`` is the
     (r, r) innovation covariance; the stacked state sees it embedded in the
-    top-left block of an otherwise zero (rp, rp) matrix.
+    top-left block of an otherwise zero (rp, rp) matrix, ``process_noise_star``.
     """
 
     phi: np.ndarray
     noise_cov: np.ndarray
     companion: np.ndarray = field(init=False, repr=False)
+    process_noise_star: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.phi = np.atleast_2d(np.asarray(self.phi, dtype=np.complex128))
@@ -54,33 +57,22 @@ class ArTransitionModel:
             sub = np.arange(dim - rank)
             companion[rank + sub, sub] = 1.0
         self.companion = companion
-
-    @property
-    def rank(self) -> int:
-        return self.phi.shape[0]
+        if order == 1:
+            # Here the stacked noise is noise_cov itself; sharing the array
+            # spares each per-step model the backward pass keeps a copy.
+            self.process_noise_star = self.noise_cov
+        else:
+            star = np.zeros((dim, dim), dtype=np.complex128)
+            star[:rank, :rank] = self.noise_cov
+            self.process_noise_star = star
 
     @property
     def order(self) -> int:
         return self.phi.shape[1]
 
     @property
-    def dim(self) -> int:
-        return self.phi.size
-
-    @property
     def transition_matrix(self) -> np.ndarray:
         return self.companion
-
-    @property
-    def process_noise_star(self) -> np.ndarray:
-        """(rp, rp) stacked process-noise covariance [[R_eta, 0], [0, 0]]."""
-        star = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        star[:self.rank, :self.rank] = self.noise_cov
-        return star
-
-    def block(self, lag: int) -> np.ndarray:
-        """The (r, r) diagonal coefficient block for ``lag`` in 1..p."""
-        return np.diag(self.phi[:, lag - 1])
 
     def with_noise(self, noise_cov: np.ndarray) -> "ArTransitionModel":
         return ArTransitionModel(phi=self.phi.copy(), noise_cov=noise_cov)
@@ -94,87 +86,41 @@ class BackwardModel:
     process_noise_star: np.ndarray  # (rp, rp) Phi_b R_star Phi_b^H
 
 
-@dataclass
-class KalmanBelief:
-    """State estimate with error covariance, tagged by its conditioning."""
+def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: float,
+              r_n: complex):
+    """Measurement update of a predicted state with one scalar observation
+    ``r_n = row @ Z + v``, ``E|v|^2 = noise_var``.
 
-    mean: np.ndarray  # (rp,) complex
-    cov: np.ndarray   # (rp, rp) Hermitian
-    kind: str         # "predicted" (n given n-1) or "filtered" (n given n)
-
-
-@dataclass
-class ObservationRow:
-    """Scalar observation row ``[d_z^T, 0, ..., 0]`` with its noise variance."""
-
-    row: np.ndarray
-    noise_var: float
-
-    def __post_init__(self):
-        self.row = np.asarray(self.row, dtype=np.complex128).reshape(-1)
-        if self.noise_var <= 0:
-            raise InvalidInputError(
-                f"ObservationRow: noise_var must be positive, got {self.noise_var}")
-
-    @classmethod
-    def from_projected(cls, d_z: np.ndarray, order: int, noise_var: float) -> "ObservationRow":
-        d_z = np.asarray(d_z, dtype=np.complex128).reshape(-1)
-        row = np.concatenate([d_z, np.zeros(d_z.size * (order - 1), dtype=np.complex128)])
-        return cls(row=row, noise_var=noise_var)
-
-
-@dataclass
-class UpdateOutput:
-    """Filtered belief plus the innovation, its variance, and the gain."""
-
-    belief: KalmanBelief
-    innovation: complex
-    innovation_var: float
-    gain: np.ndarray
-
-
-@dataclass
-class SmoothedState:
-    """Two-filter combined estimate with its error covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-def kf_update(pred: KalmanBelief, obs: ObservationRow, r_n: complex) -> UpdateOutput:
-    """Measurement update of a predicted belief with one scalar observation."""
-    if pred.kind != "predicted":
-        raise InvalidInputError(f"kf_update: expected a predicted belief, got {pred.kind!r}")
-    row = obs.row
+    Returns the filtered ``(mean, cov)``, the innovation and its variance.
+    """
+    if not noise_var > 0:
+        raise InvalidInputError(f"kf_update: noise_var must be positive, got {noise_var}")
     if not (np.isfinite(r_n) and np.isfinite(row).all()
-            and np.isfinite(pred.mean).all() and np.isfinite(pred.cov).all()):
+            and np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise NumericError("kalman_core.kf_update: non-finite input")
 
-    cov_dh = pred.cov @ row.conj()             # K D^H
-    g = max(float((row @ cov_dh).real), 0.0) + obs.noise_var
+    cov_dh = cov @ row.conj()                  # K D^H
+    g = max(float((row @ cov_dh).real), 0.0) + noise_var
     gain = cov_dh / g
-    innovation = complex(r_n - row @ pred.mean)
-    mean = pred.mean + gain * innovation
-    cov = pred.cov - np.outer(gain, row @ pred.cov)
+    innovation = complex(r_n - row @ mean)
+    mean = mean + gain * innovation
+    cov = cov - np.outer(gain, row @ cov)
     cov = 0.5 * (cov + cov.conj().T)
-    return UpdateOutput(belief=KalmanBelief(mean=mean, cov=cov, kind="filtered"),
-                        innovation=innovation, innovation_var=g, gain=gain)
+    return mean, cov, innovation, g
 
 
-def kf_predict(filt: KalmanBelief, model) -> KalmanBelief:
-    """Propagate a filtered belief one step through a transition model.
+def kf_predict(mean: np.ndarray, cov: np.ndarray, model):
+    """Propagate a filtered ``(mean, cov)`` one step through a transition model.
 
     ``model`` needs ``transition_matrix`` and ``process_noise_star``
     attributes; both the companion-form forward model and the inverted
     backward model qualify.
     """
-    if filt.kind != "filtered":
-        raise InvalidInputError(f"kf_predict: expected a filtered belief, got {filt.kind!r}")
     trans = model.transition_matrix
-    mean = trans @ filt.mean
-    cov = trans @ filt.cov @ trans.conj().T + model.process_noise_star
+    mean = trans @ mean
+    cov = trans @ cov @ trans.conj().T + model.process_noise_star
     cov = 0.5 * (cov + cov.conj().T)
-    return KalmanBelief(mean=mean, cov=cov, kind="predicted")
+    return mean, cov
 
 
 class RecursiveAutocorr:
@@ -289,18 +235,17 @@ def _hermitian_inverse_apply(cov: np.ndarray, targets: list) -> Optional[list]:
     return None
 
 
-def fb_combine(fwd: KalmanBelief, bwd: KalmanBelief) -> SmoothedState:
-    """Combine forward and backward filtered beliefs by inverse-covariance weighting.
+def fb_combine(mean_f: np.ndarray, cov_f: np.ndarray, mean_b: np.ndarray,
+               cov_b: np.ndarray):
+    """Combine forward and backward filtered estimates by inverse-covariance
+    weighting, returning the fused ``(mean, cov)``.
 
     ``M = (K_f^-1 + K_b^-1)^-1`` and ``Z = M (K_f^-1 Z_f + K_b^-1 Z_b)``;
     each inverse is a Hermitian solve with a ``1e-12 * trace`` ridge retry.
     """
-    if fwd.kind != "filtered" or bwd.kind != "filtered":
-        raise InvalidInputError("fb_combine: both beliefs must be filtered")
-    dim = fwd.mean.size
-    eye = np.eye(dim, dtype=np.complex128)
-    f_parts = _hermitian_inverse_apply(0.5 * (fwd.cov + fwd.cov.conj().T), [eye, fwd.mean])
-    b_parts = _hermitian_inverse_apply(0.5 * (bwd.cov + bwd.cov.conj().T), [eye, bwd.mean])
+    eye = np.eye(mean_f.size, dtype=np.complex128)
+    f_parts = _hermitian_inverse_apply(0.5 * (cov_f + cov_f.conj().T), [eye, mean_f])
+    b_parts = _hermitian_inverse_apply(0.5 * (cov_b + cov_b.conj().T), [eye, mean_b])
     if f_parts is None or b_parts is None:
         sides = [name for name, part in (("forward", f_parts), ("backward", b_parts))
                  if part is None]
@@ -311,7 +256,7 @@ def fb_combine(fwd: KalmanBelief, bwd: KalmanBelief) -> SmoothedState:
     if combined is None:
         raise FusionError("fb_combine: combined information matrix is singular")
     cov = 0.5 * (combined[0] + combined[0].conj().T)
-    return SmoothedState(mean=combined[1], cov=cov)
+    return combined[1], cov
 
 
 def fb_fuse(means_f: np.ndarray, covs_f: np.ndarray, means_b: np.ndarray,

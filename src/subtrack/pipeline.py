@@ -19,9 +19,8 @@ from .channel_sim import ObservationSequence
 from .coarse_est import LmsConfig, fit_coarse_model, lms_residuals, lms_track
 from .errors import InvalidInputError
 # fb_combine is unused here but stays bound: the benchmark's tracer wraps it.
-from .kalman_core import (KalmanBelief, ObservationRow, RecursiveAutocorr,
-                          backward_model, fb_combine, fb_fuse, kf_predict,
-                          kf_update, predict_transition)
+from .kalman_core import (RecursiveAutocorr, backward_model, fb_combine,
+                          fb_fuse, kf_predict, kf_update, predict_transition)
 from .metrics import (DEFAULT_FLOOR_DB, CoherenceMatrix, cross_path_coherence,
                       eigenvalue_spectrum, normalized_prediction_error)
 from .subspace_tracking import PastdTracker
@@ -166,7 +165,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     model = coarse.model.with_noise(noise_cov)
     sigma = _filter_noise_variance(cfg, obs, h_lms)
 
-    rows = np.empty((n_steps, dim), dtype=np.complex128)
+    rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
     xi_fwd = np.empty(n_steps, dtype=np.complex128)
     means_f = np.empty((n_steps, dim), dtype=np.complex128)
     phi_traj = np.empty((n_steps, rank), dtype=np.float64)
@@ -174,26 +173,21 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128) if fb_smoothing else None
     prediction_models = []
 
-    pred = KalmanBelief(mean=np.zeros(dim, dtype=np.complex128),
-                        cov=np.eye(dim, dtype=np.complex128)
-                        * float(np.mean(coarse.autocorr[:, 0].real)),
-                        kind="predicted")
+    mean = np.zeros(dim, dtype=np.complex128)
+    cov = np.eye(dim, dtype=np.complex128) * float(np.mean(coarse.autocorr[:, 0].real))
     running = RecursiveAutocorr(rank, order)
 
     for n in range(n_steps):
-        d_z = obs.d[n] @ q_seq[n]
-        obs_row = ObservationRow.from_projected(d_z, order, sigma)
-        rows[n] = obs_row.row
-        upd = kf_update(pred, obs_row, obs.r[n])
-        means_f[n] = upd.belief.mean
-        xi_fwd[n] = upd.innovation
-        pred = kf_predict(upd.belief, model)
-        phi_traj[n] = np.abs(model.phi[:, 0])
+        rows[n, :rank] = obs.d[n] @ q_seq[n]
+        mean, cov, xi_fwd[n], _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
+        means_f[n] = mean
         if fb_smoothing:
-            covs_f[n] = upd.belief.cov
+            covs_f[n] = cov
             prediction_models.append(model)
+        mean, cov = kf_predict(mean, cov, model)
+        phi_traj[n] = np.abs(model.phi[:, 0])
         if dynamic_phi:
-            running.update(pred.mean[:rank])
+            running.update(mean[:rank])
             if n + 1 >= n_train:
                 model = predict_transition(running.table, order, rank, noise_cov,
                                            previous=model)
@@ -201,17 +195,14 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     if fb_smoothing:
         means_b = np.empty((n_steps, dim), dtype=np.complex128)
         covs_b = np.empty((n_steps, dim, dim), dtype=np.complex128)
-        pred_b = KalmanBelief(mean=np.zeros(dim, dtype=np.complex128),
-                              cov=BACKWARD_PRIOR_SCALE * np.eye(dim, dtype=np.complex128),
-                              kind="predicted")
+        mean = np.zeros(dim, dtype=np.complex128)
+        cov = BACKWARD_PRIOR_SCALE * np.eye(dim, dtype=np.complex128)
         for n in range(n_steps - 1, -1, -1):
-            upd_b = kf_update(pred_b, ObservationRow(row=rows[n], noise_var=sigma),
-                              obs.r[n])
-            means_b[n] = upd_b.belief.mean
-            covs_b[n] = upd_b.belief.cov
+            mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
+            means_b[n] = mean
+            covs_b[n] = cov
             if n > 0:
-                back = backward_model(prediction_models[n - 1])
-                pred_b = kf_predict(upd_b.belief, back)
+                mean, cov = kf_predict(mean, cov, backward_model(prediction_models[n - 1]))
 
         fused = fb_fuse(means_f, covs_f, means_b, covs_b)
         z_out = fused[:, :rank]

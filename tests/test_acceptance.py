@@ -17,15 +17,14 @@ from subtrack.cli import sweep_rank
 from subtrack.coarse_est import estimate_component_autocorrelation
 from subtrack.config import load_config
 from subtrack.csvio import read_csv
-from subtrack.kalman_core import (ArTransitionModel, ObservationRow,
-                                  RecursiveAutocorr, backward_model,
-                                  fb_combine, kf_predict, kf_update)
+from subtrack.kalman_core import (ArTransitionModel, RecursiveAutocorr,
+                                  fb_combine)
 from subtrack.linalg_spectral import (evd_hermitian, solve_yule_walker,
                                       truncate_subspace)
 from subtrack.pipeline import TrackerConfig, run_asrmae, run_dfb_asrmae
 from subtrack.subspace_tracking import PastdTracker
 
-from test_kalman_core import batch_lmmse, belief, run_forward
+from test_kalman_core import batch_lmmse, run_backward, run_forward
 
 
 def report(number, ok, detail, elapsed, budget):
@@ -57,13 +56,14 @@ def test_criterion_1_forward_filter_matches_batch_lmmse():
             rng.standard_normal(rank) + 1j * rng.standard_normal(rank),
             np.zeros(dim - rank)]) for _ in range(n)]
         observations = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        filtered = run_forward(model, 0.7 * np.eye(dim), rows, 0.4, observations)
+        last_mean, last_cov = run_forward(model, 0.7 * np.eye(dim), rows, 0.4,
+                                          observations)[-1]
         mean, cov = batch_lmmse(model, 0.7 * np.eye(dim), rows, 0.4, observations)
         block = cov[(n - 1) * dim:, (n - 1) * dim:]
         worst = max(worst,
-                    np.linalg.norm(filtered[-1].mean - mean[-1])
+                    np.linalg.norm(last_mean - mean[-1])
                     / max(np.linalg.norm(mean[-1]), 1e-30),
-                    np.linalg.norm(filtered[-1].cov - block) / np.linalg.norm(block))
+                    np.linalg.norm(last_cov - block) / np.linalg.norm(block))
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-8,
            f"forward filter vs dense joint LMMSE, worst relative error {worst:.2e}",
@@ -83,15 +83,7 @@ def test_criterion_2_two_filter_fusion_matches_combined_lmmse():
         observations = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
         filtered_f = run_forward(model, [[p0]], rows, sigma, observations)
-        back = backward_model(model)
-        pred_b = belief([0.0], [[1e3]])
-        filtered_b = [None] * n
-        for i in range(n - 1, -1, -1):
-            upd = kf_update(pred_b, ObservationRow(row=rows[i], noise_var=sigma),
-                            observations[i])
-            filtered_b[i] = upd.belief
-            if i > 0:
-                pred_b = kf_predict(upd.belief, back)
+        filtered_b = run_backward(model, [[1e3]], rows, sigma, observations)
 
         back_chain = ArTransitionModel(phi=np.array([[1.0 / phi_val]]),
                                        noise_cov=np.array([[q / phi_val**2]]))
@@ -106,10 +98,10 @@ def test_criterion_2_two_filter_fusion_matches_combined_lmmse():
             info_b = 1.0 / cov_b[-1, -1]
             want_cov = 1.0 / (info_f + info_b)
             want_mean = want_cov * (info_f * mean_f[t, 0] + info_b * mean_b[-1, 0])
-            got = fb_combine(filtered_f[t], filtered_b[t])
+            got_mean, got_cov = fb_combine(*filtered_f[t], *filtered_b[t])
             scale = max(abs(want_mean), np.sqrt(abs(want_cov)))
-            worst = max(worst, abs(got.mean[0] - want_mean) / scale,
-                        abs(got.cov[0, 0] - want_cov) / abs(want_cov))
+            worst = max(worst, abs(got_mean[0] - want_mean) / scale,
+                        abs(got_cov[0, 0] - want_cov) / abs(want_cov))
     elapsed = time.perf_counter() - t0
     report(2, worst < 1e-8,
            f"two-filter fusion vs combined-system LMMSE, worst relative error {worst:.2e}",
@@ -303,9 +295,13 @@ def test_criterion_10_cost_scaling():
         # Step size scaled with the tap count to keep the LMS stable; only
         # the timing matters here.
         cfg = TrackerConfig(rank=rank, n_train=n_train, mu=0.25 / n_taps)
-        start = time.perf_counter()
-        run_dfb_asrmae(obs, cfg)
-        return (time.perf_counter() - start) / n_steps
+        # Best of three, as timeit reports: host noise only ever adds time.
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            run_dfb_asrmae(obs, cfg)
+            best = min(best, time.perf_counter() - start)
+        return best / n_steps
 
     # K-dominant regime: 6Kr >> 10(rp)^3; doubling K predicts <= 2x.
     k_ratio = tracker_seconds_per_step(512, 4) / tracker_seconds_per_step(256, 4)

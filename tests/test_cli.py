@@ -50,8 +50,7 @@ def test_run_determinism_byte_identical(tmp_path):
         assert read_body(out1 / name) == read_body(out2 / name), name
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, threads):
+def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch):
     lms_calls, trackers = [], []
     real_lms, real_init = pipeline.lms_track, PastdTracker.__init__
 
@@ -62,23 +61,10 @@ def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, threads):
     monkeypatch.setattr(pipeline, "lms_track",
                         lambda *a, **kw: lms_calls.append(1) or real_lms(*a, **kw))
     monkeypatch.setattr(PastdTracker, "__init__", counting_init)
-    monkeypatch.setenv("SUBTRACK_THREADS", threads)
     assert run_cli(["run", *SMALL, "--seeds", "2", "--out", tmp_path / "out",
                     "--algos", "lms,asrmae,dfb_asrmae"]) == 0
     assert len(lms_calls) == 2
     assert len(trackers) == 2
-
-
-def test_run_csvs_independent_of_thread_count(tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SUBTRACK_THREADS", threads)
-        outs.append(tmp_path / threads)
-        assert run_cli(["run", *SMALL, "--seeds", "3", "--out", outs[-1]]) == 0
-    for name in ("summary.csv", "errors.csv", "phi_traj.csv",
-                 "coherence_taps.csv", "coherence_components.csv",
-                 "eigenspectrum.csv"):
-        assert read_body(outs[0] / name) == read_body(outs[1] / name), name
 
 
 def test_run_emits_expected_files_and_manifest(tmp_path):
@@ -221,14 +207,6 @@ def test_replay_recorded_channel(tmp_path):
     assert code == 0
     _, rows = read_csv(out / "summary.csv")
     assert len(rows) == 1 and np.isfinite(rows[0][2])
-
-
-def test_threads_env_cap(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    monkeypatch.setenv("SUBTRACK_THREADS", "1")
-    assert run_cli(["run", *SMALL, "--seeds", "2", "--out", out]) == 0
-    monkeypatch.setenv("SUBTRACK_THREADS", "bogus")
-    assert run_cli(["run", *SMALL, "--seeds", "2", "--out", out]) == 2
 
 
 def test_algorithm_ordering_majority_of_seeds(tmp_path):

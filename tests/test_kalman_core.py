@@ -4,15 +4,17 @@ from numpy.testing import assert_allclose
 
 from subtrack.errors import (FusionError, InvalidInputError, NumericError,
                              SingularModelError)
-from subtrack.kalman_core import (ArTransitionModel, KalmanBelief,
-                                  ObservationRow, RecursiveAutocorr,
+from subtrack.kalman_core import (ArTransitionModel, RecursiveAutocorr,
                                   backward_model, fb_combine, fb_fuse,
                                   kf_predict, kf_update, predict_transition)
 
 
-def belief(mean, cov, kind="predicted"):
-    return KalmanBelief(mean=np.atleast_1d(np.asarray(mean, complex)),
-                        cov=np.atleast_2d(np.asarray(cov, complex)), kind=kind)
+def vec(values):
+    return np.atleast_1d(np.asarray(values, complex))
+
+
+def mat(values):
+    return np.atleast_2d(np.asarray(values, complex))
 
 
 def stacked_covariance(model, p0, n_steps):
@@ -59,80 +61,92 @@ def batch_lmmse(model, p0, rows, noise_var, observations, information=False):
 
 
 def run_forward(model, p0, rows, noise_var, observations):
-    dim = model.transition_matrix.shape[0]
-    pred = belief(np.zeros(dim), p0)
+    """Forward filtered (mean, cov) at every step from a zero-mean prior."""
+    mean, cov = np.zeros(model.transition_matrix.shape[0], complex), mat(p0)
     filtered = []
     for row, r_n in zip(rows, observations):
-        upd = kf_update(pred, ObservationRow(row=row, noise_var=noise_var), r_n)
-        filtered.append(upd.belief)
-        pred = kf_predict(upd.belief, model)
+        mean, cov, _, _ = kf_update(mean, cov, vec(row), noise_var, r_n)
+        filtered.append((mean, cov))
+        mean, cov = kf_predict(mean, cov, model)
+    return filtered
+
+
+def run_backward(model, p0, rows, noise_var, observations):
+    """Backward filtered (mean, cov) at every step: the reversed-time filter
+    through ``backward_model(model)``, from a zero-mean prior at the last step."""
+    back = backward_model(model)
+    mean, cov = np.zeros(model.transition_matrix.shape[0], complex), mat(p0)
+    filtered = [None] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        mean, cov, _, _ = kf_update(mean, cov, vec(rows[i]), noise_var, observations[i])
+        filtered[i] = (mean, cov)
+        if i > 0:
+            mean, cov = kf_predict(mean, cov, back)
     return filtered
 
 
 # ------------------------------------------------------------------ update
 def test_update_uninformative_row():
-    pred = belief([1.0, -2.0], np.diag([2.0, 3.0]))
-    out = kf_update(pred, ObservationRow(row=np.zeros(2), noise_var=0.5), 4.0)
-    assert_allclose(out.belief.mean, pred.mean)
-    assert_allclose(out.belief.cov, pred.cov)
-    assert out.innovation == pytest.approx(4.0)
-    assert out.innovation_var == pytest.approx(0.5)
+    mean0, cov0 = vec([1.0, -2.0]), mat(np.diag([2.0, 3.0]))
+    mean, cov, innovation, innovation_var = kf_update(mean0, cov0, vec([0.0, 0.0]),
+                                                      0.5, 4.0)
+    assert_allclose(mean, mean0)
+    assert_allclose(cov, cov0)
+    assert innovation == pytest.approx(4.0)
+    assert innovation_var == pytest.approx(0.5)
 
 
 def test_update_scalar_hand_values():
-    out = kf_update(belief([0.0], [[1.0]]),
-                    ObservationRow(row=np.array([1.0]), noise_var=1.0), 2.0)
-    assert out.innovation_var == pytest.approx(2.0)
-    assert_allclose(out.gain, [0.5])
-    assert out.innovation == pytest.approx(2.0)
-    assert_allclose(out.belief.mean, [1.0])
-    assert_allclose(out.belief.cov, [[0.5]])
+    mean0 = vec([0.0])
+    mean, cov, innovation, innovation_var = kf_update(mean0, mat([[1.0]]), vec([1.0]),
+                                                      1.0, 2.0)
+    assert innovation_var == pytest.approx(2.0)
+    assert_allclose(mean - mean0, [0.5 * innovation])  # gain 0.5
+    assert innovation == pytest.approx(2.0)
+    assert_allclose(mean, [1.0])
+    assert_allclose(cov, [[0.5]])
 
 
 def test_update_near_exact_observation_pins_state():
-    pred = belief([0.0, 0.0], np.eye(2))
-    row = np.array([1.0, 0.0])
-    out = kf_update(pred, ObservationRow(row=row, noise_var=1e-12), 0.7 - 0.2j)
-    assert abs(out.belief.mean[0] - (0.7 - 0.2j)) < 1e-6
+    mean, _, _, _ = kf_update(vec([0.0, 0.0]), mat(np.eye(2)), vec([1.0, 0.0]),
+                              1e-12, 0.7 - 0.2j)
+    assert abs(mean[0] - (0.7 - 0.2j)) < 1e-6
 
 
 def test_update_innovation_variance_floor():
-    out = kf_update(belief([0.0], [[1.0]]),
-                    ObservationRow(row=np.array([1.0]), noise_var=0.25), 1.0)
-    assert out.innovation_var >= 0.25
+    _, _, _, innovation_var = kf_update(vec([0.0]), mat([[1.0]]), vec([1.0]), 0.25, 1.0)
+    assert innovation_var >= 0.25
 
 
 def test_update_rejects_nonfinite():
     with pytest.raises(NumericError):
-        kf_update(belief([np.nan], [[1.0]]),
-                  ObservationRow(row=np.array([1.0]), noise_var=1.0), 1.0)
+        kf_update(vec([np.nan]), mat([[1.0]]), vec([1.0]), 1.0, 1.0)
     with pytest.raises(NumericError):
-        kf_update(belief([0.0], [[1.0]]),
-                  ObservationRow(row=np.array([1.0]), noise_var=1.0), np.inf)
+        kf_update(vec([0.0]), mat([[1.0]]), vec([1.0]), 1.0, np.inf)
 
 
-def test_update_requires_predicted_belief():
-    filt = belief([0.0], [[1.0]], kind="filtered")
+@pytest.mark.parametrize("noise_var", [0.0, -1.0])
+def test_update_rejects_nonpositive_noise_var(noise_var):
     with pytest.raises(InvalidInputError):
-        kf_update(filt, ObservationRow(row=np.array([1.0]), noise_var=1.0), 1.0)
+        kf_update(vec([0.0]), mat([[1.0]]), vec([1.0]), noise_var, 1.0)
 
 
 # ----------------------------------------------------------------- predict
 def test_predict_identity_dynamics():
     model = ArTransitionModel(phi=np.array([[1.0], [1.0]]),
                               noise_cov=np.zeros((2, 2)))
-    filt = belief([1.0, 2.0], np.diag([0.5, 0.25]), kind="filtered")
-    pred = kf_predict(filt, model)
-    assert_allclose(pred.mean, filt.mean)
-    assert_allclose(pred.cov, filt.cov)
+    mean0, cov0 = vec([1.0, 2.0]), mat(np.diag([0.5, 0.25]))
+    mean, cov = kf_predict(mean0, cov0, model)
+    assert_allclose(mean, mean0)
+    assert_allclose(cov, cov0)
 
 
 def test_predict_zero_dynamics_resets_to_noise():
     noise = np.array([[0.3, 0.1], [0.1, 0.2]])
     model = ArTransitionModel(phi=np.zeros((2, 1)), noise_cov=noise)
-    pred = kf_predict(belief([1.0, 2.0], np.eye(2), kind="filtered"), model)
-    assert_allclose(pred.mean, 0)
-    assert_allclose(pred.cov, noise)
+    mean, cov = kf_predict(vec([1.0, 2.0]), mat(np.eye(2)), model)
+    assert_allclose(mean, 0)
+    assert_allclose(cov, noise)
 
 
 def test_predict_matches_dense_triple_product():
@@ -140,13 +154,13 @@ def test_predict_matches_dense_triple_product():
     phi = 0.8 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(2, 2)))
     noise = np.eye(2) * 0.1
     model = ArTransitionModel(phi=phi, noise_cov=noise)
-    cov = np.eye(4) + 0.1 * np.ones((4, 4))
+    cov = mat(np.eye(4) + 0.1 * np.ones((4, 4)))
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    pred = kf_predict(belief(mean, cov, kind="filtered"), model)
+    pred_mean, pred_cov = kf_predict(mean, cov, model)
     trans = model.companion
-    assert_allclose(pred.mean, trans @ mean, atol=1e-12)
+    assert_allclose(pred_mean, trans @ mean, atol=1e-12)
     want = trans @ cov @ trans.conj().T + model.process_noise_star
-    assert_allclose(pred.cov, 0.5 * (want + want.conj().T), atol=1e-12)
+    assert_allclose(pred_cov, 0.5 * (want + want.conj().T), atol=1e-12)
 
 
 def test_companion_structure_order2():
@@ -296,28 +310,20 @@ def test_fb_combine_symmetric():
     cov = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
     zf = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     zb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    sm = fb_combine(belief(zf, cov, "filtered"), belief(zb, cov, "filtered"))
-    assert_allclose(sm.mean, 0.5 * (zf + zb), atol=1e-12)
-    assert_allclose(sm.cov, 0.5 * cov, atol=1e-12)
+    mean, sm_cov = fb_combine(zf, cov, zb, cov)
+    assert_allclose(mean, 0.5 * (zf + zb), atol=1e-12)
+    assert_allclose(sm_cov, 0.5 * cov, atol=1e-12)
 
 
 def test_fb_combine_uninformative_backward():
     zf = np.array([1.0 - 1.0j, 2.0 + 0.5j])
-    sm = fb_combine(belief(zf, np.eye(2), "filtered"),
-                    belief([5.0, -3.0], 1e9 * np.eye(2), "filtered"))
-    assert np.linalg.norm(sm.mean - zf) / np.linalg.norm(zf) < 1e-6
-
-
-def test_fb_combine_requires_filtered():
-    with pytest.raises(InvalidInputError):
-        fb_combine(belief([0.0], [[1.0]], "predicted"),
-                   belief([0.0], [[1.0]], "filtered"))
+    mean, _ = fb_combine(zf, mat(np.eye(2)), vec([5.0, -3.0]), mat(1e9 * np.eye(2)))
+    assert np.linalg.norm(mean - zf) / np.linalg.norm(zf) < 1e-6
 
 
 def test_fb_combine_both_singular():
     with pytest.raises(FusionError):
-        fb_combine(belief([0.0], [[0.0]], "filtered"),
-                   belief([0.0], [[0.0]], "filtered"))
+        fb_combine(vec([0.0]), mat([[0.0]]), vec([0.0]), mat([[0.0]]))
 
 
 def random_hpd_stack(rng, n, dim):
@@ -333,8 +339,7 @@ def test_fb_fuse_matches_per_step_fb_combine(dim):
     means_f, means_b = (rng.standard_normal((2, n, dim))
                         + 1j * rng.standard_normal((2, n, dim)))
     fused = fb_fuse(means_f, covs_f, means_b, covs_b)
-    want = np.array([fb_combine(belief(means_f[i], covs_f[i], "filtered"),
-                                belief(means_b[i], covs_b[i], "filtered")).mean
+    want = np.array([fb_combine(means_f[i], covs_f[i], means_b[i], covs_b[i])[0]
                      for i in range(n)])
     rel = np.linalg.norm(fused - want, axis=1) / np.linalg.norm(want, axis=1)
     assert rel.max() < 1e-10
@@ -371,24 +376,15 @@ def test_fb_combine_three_step_scalar_matches_combined_lmmse():
     observations = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
     filtered_f = run_forward(model, [[p0]], rows, sigma, observations)
-
-    back = backward_model(model)
     prior_b = 1e3
-    pred_b = belief([0.0], [[prior_b]])
-    filtered_b = [None] * n
-    for i in range(n - 1, -1, -1):
-        upd = kf_update(pred_b, ObservationRow(row=rows[i], noise_var=sigma),
-                        observations[i])
-        filtered_b[i] = upd.belief
-        if i > 0:
-            pred_b = kf_predict(upd.belief, back)
+    filtered_b = run_backward(model, [[prior_b]], rows, sigma, observations)
 
     # Dense forward posterior at each time given observations 1..n.
     for t in range(n):
         mean_f, cov_f = batch_lmmse(model, [[p0]], rows[:t + 1], sigma,
                                     observations[:t + 1], information=True)
-        assert_allclose(filtered_f[t].mean, mean_f[t], atol=1e-8)
-        assert_allclose(filtered_f[t].cov[0, 0], cov_f[t, t], atol=1e-8)
+        assert_allclose(filtered_f[t][0], mean_f[t], atol=1e-8)
+        assert_allclose(filtered_f[t][1][0, 0], cov_f[t, t], atol=1e-8)
 
     # Dense backward posterior: reversed chain with the inverted model.
     back_model_obj = ArTransitionModel(
@@ -399,19 +395,18 @@ def test_fb_combine_three_step_scalar_matches_combined_lmmse():
         obs_rev = observations[t:][::-1]
         mean_b, cov_b = batch_lmmse(back_model_obj, [[prior_b]], rows_rev,
                                     sigma, obs_rev, information=True)
-        assert_allclose(filtered_b[t].mean, mean_b[-1], atol=1e-8)
-        assert_allclose(filtered_b[t].cov[0, 0], cov_b[-1, -1], atol=1e-8)
+        assert_allclose(filtered_b[t][0], mean_b[-1], atol=1e-8)
+        assert_allclose(filtered_b[t][1][0, 0], cov_b[-1, -1], atol=1e-8)
 
     # Fusion equals the combined-system LMMSE built from those posteriors.
-    for t in range(n):
-        sm = fb_combine(filtered_f[t], filtered_b[t])
-        info_f = 1.0 / filtered_f[t].cov[0, 0]
-        info_b = 1.0 / filtered_b[t].cov[0, 0]
+    for (mean_f, cov_f), (mean_b, cov_b) in zip(filtered_f, filtered_b):
+        sm_mean, sm_cov = fb_combine(mean_f, cov_f, mean_b, cov_b)
+        info_f = 1.0 / cov_f[0, 0]
+        info_b = 1.0 / cov_b[0, 0]
         want_cov = 1.0 / (info_f + info_b)
-        want_mean = want_cov * (info_f * filtered_f[t].mean[0]
-                                + info_b * filtered_b[t].mean[0])
-        assert_allclose(sm.mean[0], want_mean, atol=1e-10)
-        assert_allclose(sm.cov[0, 0], want_cov, atol=1e-10)
+        want_mean = want_cov * (info_f * mean_f[0] + info_b * mean_b[0])
+        assert_allclose(sm_mean[0], want_mean, atol=1e-10)
+        assert_allclose(sm_cov[0, 0], want_cov, atol=1e-10)
 
 
 def test_forward_filter_matches_batch_lmmse_mimo():
@@ -429,12 +424,12 @@ def test_forward_filter_matches_batch_lmmse_mimo():
             rng.standard_normal(rank) + 1j * rng.standard_normal(rank),
             np.zeros(dim - rank)]) for _ in range(n)]
         observations = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        filtered = run_forward(model, p0, rows, 0.3, observations)
+        last_mean, last_cov = run_forward(model, p0, rows, 0.3, observations)[-1]
         mean, cov = batch_lmmse(model, p0, rows, 0.3, observations)
         scale = max(np.linalg.norm(mean[-1]), 1.0)
-        assert np.linalg.norm(filtered[-1].mean - mean[-1]) / scale < 1e-8
+        assert np.linalg.norm(last_mean - mean[-1]) / scale < 1e-8
         block = cov[(n - 1) * dim:, (n - 1) * dim:]
-        assert np.linalg.norm(filtered[-1].cov - block) / np.linalg.norm(block) < 1e-8
+        assert np.linalg.norm(last_cov - block) / np.linalg.norm(block) < 1e-8
 
 
 def test_innovation_whiteness_matched_model():
@@ -444,7 +439,7 @@ def test_innovation_whiteness_matched_model():
     q = 1 - phi**2
     model = ArTransitionModel(phi=phi[:, None] + 0j, noise_cov=np.diag(q) + 0j)
     z = np.zeros(rank, complex)
-    pred = belief(np.zeros(rank), np.eye(rank))
+    mean, cov = np.zeros(rank, complex), mat(np.eye(rank))
     sigma = 0.1
     norm_innov = np.empty(n, complex)
     for i in range(n):
@@ -453,9 +448,9 @@ def test_innovation_whiteness_matched_model():
         row = (rng.standard_normal(rank) + 1j * rng.standard_normal(rank)) / np.sqrt(2)
         r_n = row @ z + np.sqrt(sigma / 2) * (rng.standard_normal()
                                               + 1j * rng.standard_normal())
-        upd = kf_update(pred, ObservationRow(row=row, noise_var=sigma), r_n)
-        norm_innov[i] = upd.innovation / np.sqrt(upd.innovation_var)
-        pred = kf_predict(upd.belief, model)
+        mean, cov, innovation, innovation_var = kf_update(mean, cov, row, sigma, r_n)
+        norm_innov[i] = innovation / np.sqrt(innovation_var)
+        mean, cov = kf_predict(mean, cov, model)
     assert abs(np.mean(np.abs(norm_innov[500:]) ** 2) - 1.0) < 0.1
 
 
@@ -465,7 +460,6 @@ def test_fb_combine_reduces_error_monte_carlo():
     phi_val, q, sigma = 0.9, 0.19, 0.1
     model = ArTransitionModel(phi=np.array([[phi_val]]),
                               noise_cov=np.array([[q]]))
-    back = backward_model(model)
     se_f = se_b = se_s = 0.0
     for seed in range(n_seeds):
         rng = np.random.default_rng(200 + seed)
@@ -481,19 +475,12 @@ def test_fb_combine_reduces_error_monte_carlo():
                                      + 1j * rng.standard_normal(n_steps))
 
         filt_f = run_forward(model, [[1.0]], rows, sigma, obs)
-        pred_b = belief([0.0], [[1e3]])
-        filt_b = [None] * n_steps
-        for i in range(n_steps - 1, -1, -1):
-            upd = kf_update(pred_b, ObservationRow(row=rows[i], noise_var=sigma),
-                            obs[i])
-            filt_b[i] = upd.belief
-            if i > 0:
-                pred_b = kf_predict(upd.belief, back)
+        filt_b = run_backward(model, [[1e3]], rows, sigma, obs)
         for i in range(n_steps):
-            sm = fb_combine(filt_f[i], filt_b[i])
-            se_f += abs(filt_f[i].mean[0] - z[i]) ** 2
-            se_b += abs(filt_b[i].mean[0] - z[i]) ** 2
-            se_s += abs(sm.mean[0] - z[i]) ** 2
+            sm_mean, _ = fb_combine(*filt_f[i], *filt_b[i])
+            se_f += abs(filt_f[i][0][0] - z[i]) ** 2
+            se_b += abs(filt_b[i][0][0] - z[i]) ** 2
+            se_s += abs(sm_mean[0] - z[i]) ** 2
     assert se_s <= min(se_f, se_b) + 1e-9
 
 
@@ -501,12 +488,13 @@ def test_output_covariances_stay_psd():
     rng = np.random.default_rng(9)
     model = ArTransitionModel(phi=np.array([[0.9], [0.5]]),
                               noise_cov=np.diag([0.1, 0.2]) + 0j)
-    pred = belief(np.zeros(2), np.eye(2))
+    mean, cov = np.zeros(2, complex), mat(np.eye(2))
     for _ in range(200):
         row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        upd = kf_update(pred, ObservationRow(row=row, noise_var=0.1),
-                        rng.standard_normal() + 1j * rng.standard_normal())
-        for cov in (upd.belief.cov, kf_predict(upd.belief, model).cov):
-            evals = np.linalg.eigvalsh(cov)
-            assert evals.min() >= -1e-8 * max(np.trace(cov).real, 1e-30)
-        pred = kf_predict(upd.belief, model)
+        mean, cov, _, _ = kf_update(mean, cov, row, 0.1,
+                                    rng.standard_normal() + 1j * rng.standard_normal())
+        pred_mean, pred_cov = kf_predict(mean, cov, model)
+        for out in (cov, pred_cov):
+            evals = np.linalg.eigvalsh(out)
+            assert evals.min() >= -1e-8 * max(np.trace(out).real, 1e-30)
+        mean, cov = pred_mean, pred_cov
