@@ -50,7 +50,8 @@ def test_run_determinism_byte_identical(tmp_path):
         assert read_body(out1 / name) == read_body(out2 / name), name
 
 
-def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_seeds", [1, 2])
+def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, n_seeds):
     lms_calls, trackers = [], []
     real_lms, real_init = pipeline.lms_track, PastdTracker.__init__
 
@@ -61,10 +62,10 @@ def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "lms_track",
                         lambda *a, **kw: lms_calls.append(1) or real_lms(*a, **kw))
     monkeypatch.setattr(PastdTracker, "__init__", counting_init)
-    assert run_cli(["run", *SMALL, "--seeds", "2", "--out", tmp_path / "out",
+    assert run_cli(["run", *SMALL, "--seeds", n_seeds, "--out", tmp_path / "out",
                     "--algos", "lms,asrmae,dfb_asrmae"]) == 0
-    assert len(lms_calls) == 2
-    assert len(trackers) == 2
+    assert len(lms_calls) == n_seeds
+    assert len(trackers) == n_seeds
 
 
 def test_run_emits_expected_files_and_manifest(tmp_path):
