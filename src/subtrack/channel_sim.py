@@ -175,7 +175,6 @@ class SimConfig:
     phi_hi: float = 0.9995
     omega_q: float = 2e-4
     phi_drift: float = 0.0
-    pulse_span: int = 8
     preset: str = "calm"
     power_decay: float = 0.7  # geometric per-component power ratio
 

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__
 from .channel_sim import (gen_symbols, generate_observations,
                           noise_variance_for_snr, synth_latent_channel)
+from .coarse_est import estimate_channel_covariance
 from .config import ExperimentConfig, load_config
 from .csvio import file_digest, load_cir_csv, write_csv
 from .errors import ConfigError, SubtrackError
@@ -49,30 +51,47 @@ def _simulate(cfg: ExperimentConfig, seed: int):
     return traj, obs
 
 
+def _check_record(traj, ranks, n_train: int) -> None:
+    """Reject tracker settings the record cannot carry, before any tracking."""
+    bad = [r for r in ranks if not 1 <= r <= traj.n_taps]
+    if bad:
+        raise ConfigError(f"ranks {bad} outside [1, {traj.n_taps}] (the record's taps)")
+    if n_train >= traj.n_steps:
+        raise ConfigError(
+            f"tracker.n_train {n_train} must be smaller than the "
+            f"{traj.n_steps}-step record")
+
+
 def _run_seed(cfg: ExperimentConfig, seed: int) -> dict:
     traj, obs = _simulate(cfg, seed)
     tracker = cfg.tracker
-    if tracker.n_train >= traj.n_steps:
-        raise ConfigError(
-            f"tracker.n_train {tracker.n_train} must be smaller than the "
-            f"{traj.n_steps}-step record")
+    _check_record(traj, [tracker.rank], tracker.n_train)
     with shared_front_end():
-        results = {algo: ALGORITHMS[algo](obs, tracker) for algo in cfg.run.algos}
-    return {"seed": seed, "results": results}
+        return {algo: ALGORITHMS[algo](obs, tracker) for algo in cfg.run.algos}
 
 
-def _coherence_rows(matrix):
-    rows = []
+def _first_seed_channel(cfg: ExperimentConfig):
+    """The first seed's channel (simulated or replayed) and its sample covariance."""
+    traj, _ = _simulate(cfg, cfg.run.seeds[0])
+    return traj, estimate_channel_covariance(traj.h, traj.n_steps)
+
+
+def _coherence_table(matrix):
+    """Row-major (header, rows) of a coherence matrix; undefined pairs read NaN."""
     m = matrix.rho.shape[0]
-    for j in range(m):
-        for k in range(m):
-            value = matrix.rho[j, k]
-            defined = bool(matrix.defined[j] and matrix.defined[k])
-            rows.append([j, k,
-                         value.real if defined or j == k else float("nan"),
-                         value.imag if defined or j == k else float("nan"),
-                         int(defined)])
-    return rows
+    row, col = np.divmod(np.arange(m * m), m)
+    defined = matrix.defined[row] & matrix.defined[col]
+    shown = defined | (row == col)
+    rho = matrix.rho.ravel()
+    return (["row", "col", "rho_re", "rho_im", "defined"],
+            list(zip(row.tolist(), col.tolist(),
+                     np.where(shown, rho.real, np.nan).tolist(),
+                     np.where(shown, rho.imag, np.nan).tolist(),
+                     defined.astype(int).tolist())))
+
+
+def _spectrum_table(spectrum):
+    return ["k", "value"], list(enumerate(spectrum.tolist()))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -81,134 +100,88 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     Returns the manifest dictionary (also written as ``manifest.json``).
     """
     started = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    per_seed = [(seed, _run_seed(cfg, seed)) for seed in cfg.run.seeds]
+    results = [(seed, algo, found[algo]) for seed, found in per_seed
+               for algo in cfg.run.algos]
 
-    per_seed = [_run_seed(cfg, s) for s in cfg.run.seeds]
-
-    files = []
-    summary_rows = []
-    error_rows = []
-    for entry in per_seed:
-        seed = entry["seed"]
-        for algo in cfg.run.algos:
-            res = entry["results"][algo]
-            summary_rows.append([seed, algo, res.mean_err_db, res.n_train,
-                                 res.order, res.rank])
-            if cfg.run.emit_errors:
-                for n in range(len(res.xi)):
-                    error_rows.append([seed, algo, n, res.xi[n].real,
-                                       res.xi[n].imag, res.err_db[n]])
-    write_csv(out / "summary.csv",
-              ["seed", "algo", "mean_err_db", "train_len", "p", "r"], summary_rows)
-    files.append("summary.csv")
+    tables = {"summary.csv": (
+        ["seed", "algo", "mean_err_db", "train_len", "p", "r"],
+        [[seed, algo, res.mean_err_db, res.n_train, res.order, res.rank]
+         for seed, algo, res in results])}
     if cfg.run.emit_errors:
-        write_csv(out / "errors.csv",
-                  ["seed", "algo", "n", "xi_re", "xi_im", "err_db"], error_rows)
-        files.append("errors.csv")
+        tables["errors.csv"] = (
+            ["seed", "algo", "n", "xi_re", "xi_im", "err_db"],
+            list(chain.from_iterable(
+                zip(repeat(seed), repeat(algo), range(len(res.xi)), res.xi.real.tolist(),
+                    res.xi.imag.tolist(), res.err_db.tolist())
+                for seed, algo, res in results)))
 
     # Diagnostics come from the first seed's richest result.
-    diag = None
-    for algo in ("dfb_asrmae", "asrmae"):
-        if algo in per_seed[0]["results"]:
-            diag = per_seed[0]["results"][algo]
-            break
+    first = per_seed[0][1]
+    diag = next((first[a] for a in ("dfb_asrmae", "asrmae") if a in first), None)
     if diag is not None:
         if cfg.run.emit_phi_traj and diag.phi_traj is not None:
-            rows = [[n, tap, diag.phi_traj[n, tap]]
-                    for n in range(diag.phi_traj.shape[0])
-                    for tap in range(diag.phi_traj.shape[1])]
-            write_csv(out / "phi_traj.csv", ["n", "tap", "abs_phi"], rows)
-            files.append("phi_traj.csv")
+            n, tap = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
+            tables["phi_traj.csv"] = (
+                ["n", "tap", "abs_phi"],
+                list(zip(n.tolist(), tap.tolist(), diag.phi_traj.ravel().tolist())))
         if cfg.run.emit_coherence and diag.coherence_taps is not None:
-            write_csv(out / "coherence_taps.csv",
-                      ["row", "col", "rho_re", "rho_im", "defined"],
-                      _coherence_rows(diag.coherence_taps))
-            files.append("coherence_taps.csv")
+            tables["coherence_taps.csv"] = _coherence_table(diag.coherence_taps)
         if cfg.run.emit_coherence and diag.coherence_components is not None:
-            write_csv(out / "coherence_components.csv",
-                      ["row", "col", "rho_re", "rho_im", "defined"],
-                      _coherence_rows(diag.coherence_components))
-            files.append("coherence_components.csv")
+            tables["coherence_components.csv"] = _coherence_table(diag.coherence_components)
         if cfg.run.emit_spectrum and diag.eigen_spectrum is not None:
-            write_csv(out / "eigenspectrum.csv", ["k", "value"],
-                      [[k, v] for k, v in enumerate(diag.eigen_spectrum)])
-            files.append("eigenspectrum.csv")
-
-    manifest = _write_manifest(cfg, out, files, started)
-    return manifest
+            tables["eigenspectrum.csv"] = _spectrum_table(diag.eigen_spectrum)
+    return _write_outputs(cfg, out_dir, started, tables)
 
 
 def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
     """Mean prediction error as a function of the tracked subspace rank."""
     if algo not in ALGORITHMS:
         raise ConfigError(f"sweep-rank: unknown algorithm {algo!r}")
-    n_taps = cfg.sim.n_taps
-    bad = [r for r in ranks if not 1 <= r <= n_taps]
-    if bad:
-        raise ConfigError(f"sweep-rank: ranks {bad} outside [1, {n_taps}]")
     started = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     # One simulation per seed, shared read-only across every rank.
-    sims = {seed: _simulate(cfg, seed) for seed in cfg.run.seeds}
-    jobs = [(r, seed) for r in ranks for seed in cfg.run.seeds]
-
-    def one(job):
-        rank, seed = job
-        job_cfg = dataclasses.replace(cfg.tracker, rank=rank)
-        _, obs = sims[seed]
-        return rank, seed, ALGORITHMS[algo](obs, job_cfg).mean_err_db
-
-    outcomes = [one(job) for job in jobs]
+    sims = {}
+    for seed in cfg.run.seeds:
+        traj, sims[seed] = _simulate(cfg, seed)
+        _check_record(traj, ranks, cfg.tracker.n_train)
 
     rows = []
     for rank in ranks:
-        errs = [e for r, _, e in outcomes if r == rank]
-        rows.extend([[rank, seed, err] for r, seed, err in outcomes if r == rank])
+        job_cfg = dataclasses.replace(cfg.tracker, rank=rank)
+        errs = [ALGORITHMS[algo](sims[seed], job_cfg).mean_err_db for seed in cfg.run.seeds]
+        rows.extend([rank, seed, err] for seed, err in zip(cfg.run.seeds, errs))
         rows.append([rank, "all", float(np.mean(errs))])
-    write_csv(out / "rank_sweep.csv", ["r", "seed", "mean_err_db"], rows)
-    manifest = _write_manifest(cfg, out, ["rank_sweep.csv"], started,
-                               extra={"ranks": list(ranks), "algo": algo})
-    return manifest
+    return _write_outputs(cfg, out_dir, started,
+                          {"rank_sweep.csv": (["r", "seed", "mean_err_db"], rows)},
+                          extra={"ranks": list(ranks), "algo": algo})
 
 
 def coherence_analysis(cfg: ExperimentConfig, out_dir) -> dict:
     """Tap and component coherence of one simulated (or replayed) channel."""
     started = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.run.seeds[0]
-    traj, _ = _simulate(cfg, seed)
+    traj, cov = _first_seed_channel(cfg)
+    basis = truncate_subspace(evd_hermitian(cov), min(cfg.tracker.rank, traj.n_taps))
     taps = cross_path_coherence(traj.h, kind="taps")
-    cov = traj.h.T @ traj.h.conj() / traj.n_steps
-    basis = truncate_subspace(evd_hermitian(0.5 * (cov + cov.conj().T)),
-                              min(cfg.tracker.rank, traj.n_taps))
     comps = cross_path_coherence(traj.h @ basis.conj(), kind="components")
-    write_csv(out / "coherence_taps.csv",
-              ["row", "col", "rho_re", "rho_im", "defined"], _coherence_rows(taps))
-    write_csv(out / "coherence_components.csv",
-              ["row", "col", "rho_re", "rho_im", "defined"], _coherence_rows(comps))
-    return _write_manifest(cfg, out, ["coherence_taps.csv", "coherence_components.csv"],
-                           started)
+    return _write_outputs(cfg, out_dir, started,
+                          {"coherence_taps.csv": _coherence_table(taps),
+                           "coherence_components.csv": _coherence_table(comps)})
 
 
 def spectrum_analysis(cfg: ExperimentConfig, out_dir) -> dict:
     """Normalized eigenvalue spectrum of one simulated (or replayed) channel."""
     started = time.time()
+    _, cov = _first_seed_channel(cfg)
+    return _write_outputs(cfg, out_dir, started,
+                          {"eigenspectrum.csv": _spectrum_table(eigenvalue_spectrum(cov))})
+
+
+def _write_outputs(cfg, out_dir, started, tables, extra=None) -> dict:
+    """Write each ``{name: (header, rows)}`` CSV into ``out_dir``, then the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.run.seeds[0]
-    traj, _ = _simulate(cfg, seed)
-    cov = traj.h.T @ traj.h.conj() / traj.n_steps
-    spectrum = eigenvalue_spectrum(0.5 * (cov + cov.conj().T))
-    write_csv(out / "eigenspectrum.csv", ["k", "value"],
-              [[k, v] for k, v in enumerate(spectrum)])
-    return _write_manifest(cfg, out, ["eigenspectrum.csv"], started)
-
-
-def _write_manifest(cfg, out: Path, files, started, extra=None) -> dict:
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
     manifest = {
         "tool": "subtrack",
         "version": __version__,
@@ -222,7 +195,7 @@ def _write_manifest(cfg, out: Path, files, started, extra=None) -> dict:
             "complex_columns": "_re/_im pairs",
             "float_format": "17 significant digits",
         },
-        "files": {name: file_digest(out / name) for name in files},
+        "files": {name: file_digest(out / name) for name in tables},
     }
     if extra:
         manifest.update(extra)

@@ -15,12 +15,15 @@ types::
     seeds = 5
     out_dir = results
 
-Unknown sections or keys are hard errors, as are malformed values; silent
-typos would invalidate comparisons.
+The keys of each section are the fields of ``SimConfig``, ``TrackerConfig``
+and ``RunConfig``, and each value is parsed by its field's type.  Unknown
+sections or keys are hard errors, as are malformed values; silent typos would
+invalidate comparisons.
 """
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -54,11 +57,7 @@ class ExperimentConfig:
     run: RunConfig
 
     def as_dict(self) -> dict:
-        return {
-            "sim": dataclasses.asdict(self.sim),
-            "tracker": dataclasses.asdict(self.tracker),
-            "run": dataclasses.asdict(self.run),
-        }
+        return dataclasses.asdict(self)
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -84,6 +83,9 @@ def _parse_seeds(raw: str) -> tuple:
         if count < 1:
             raise ConfigError(f"run.seeds: seed count must be >= 1, got {count}")
         return tuple(range(count))
+    negative = [v for v in values if v < 0]
+    if negative:
+        raise ConfigError(f"run.seeds: seeds must be >= 0, got {negative}")
     return tuple(values)
 
 
@@ -98,47 +100,35 @@ def _parse_algos(raw: str) -> tuple:
     return algos
 
 
-_SIM_INTS = {"n_taps", "n_steps", "n_train", "r_true", "seed", "pulse_span"}
-_SIM_FLOATS = {"snr_db", "phi_lo", "phi_hi", "omega_q", "phi_drift", "power_decay"}
-_SIM_STRS = {"preset"}
-_TRACKER_INTS = {"order", "rank", "n_train", "reorth_period"}
-_TRACKER_FLOATS = {"mu", "beta", "sigma_v2", "floor_db"}
-_TRACKER_BOOLS = {"dynamic_phi", "correlated_noise", "fb_smoothing"}
-_RUN_BOOLS = {"emit_errors", "emit_phi_traj", "emit_coherence", "emit_spectrum"}
+def _field_types(cls) -> dict:
+    """Field name -> the scalar type it holds, with ``Optional[...]`` unwrapped."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for field in dataclasses.fields(cls):
+        inner = [t for t in typing.get_args(hints[field.name]) if t is not type(None)]
+        types[field.name] = inner[0] if inner else hints[field.name]
+    return types
+
+
+_FIELD_TYPES = {"sim": _field_types(SimConfig), "tracker": _field_types(TrackerConfig),
+                "run": _field_types(RunConfig)}
+_OWN_PARSERS = {"run.algos": _parse_algos, "run.seeds": _parse_seeds}
 
 
 def _convert(section: str, key: str, raw: str):
+    """Parse one value by the type of its dataclass field."""
     full = f"{section}.{key}"
-    if section == "sim":
-        if key in _SIM_INTS:
-            kind = int
-        elif key in _SIM_FLOATS:
-            kind = float
-        elif key in _SIM_STRS:
-            return raw.strip()
-        else:
-            raise ConfigError(f"unknown key {full}")
-    elif section == "tracker":
-        if key in _TRACKER_INTS:
-            kind = int
-        elif key in _TRACKER_FLOATS:
-            kind = float
-        elif key in _TRACKER_BOOLS:
-            return _parse_bool(raw, full)
-        else:
-            raise ConfigError(f"unknown key {full}")
-    elif section == "run":
-        if key == "algos":
-            return _parse_algos(raw)
-        if key == "seeds":
-            return _parse_seeds(raw)
-        if key in ("out_dir", "cir_csv"):
-            return raw.strip()
-        if key in _RUN_BOOLS:
-            return _parse_bool(raw, full)
-        raise ConfigError(f"unknown key {full}")
-    else:
+    if section not in _FIELD_TYPES:
         raise ConfigError(f"unknown section [{section}]")
+    kind = _FIELD_TYPES[section].get(key)
+    if kind is None:
+        raise ConfigError(f"unknown key {full}")
+    if full in _OWN_PARSERS:
+        return _OWN_PARSERS[full](raw)
+    if kind is bool:
+        return _parse_bool(raw, full)
+    if kind is str:
+        return raw.strip()
     try:
         return kind(raw.strip())
     except ValueError:
@@ -181,7 +171,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[list] = None) ->
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         for section in parser.sections():
-            if section not in sections:
+            if section not in sections:  # an empty section converts no key
                 raise ConfigError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
                 sections[section][key] = _convert(section, key, raw)
@@ -192,7 +182,5 @@ def load_config(path: Optional[str] = None, overrides: Optional[list] = None) ->
         if "." not in full:
             raise ConfigError(f"override must be section.key=value, got {item!r}")
         section, key = full.split(".", 1)
-        if section not in sections:
-            raise ConfigError(f"unknown section [{section}]")
         sections[section][key] = _convert(section, key.strip(), raw)
     return _build(sections)

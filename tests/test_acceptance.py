@@ -219,6 +219,7 @@ def test_criterion_6_recursive_autocorrelation_identity():
            elapsed, 1.0)
 
 
+@pytest.mark.slow
 def test_criterion_7_preset_trend_reproduction():
     t0 = time.perf_counter()
     n_seeds = 20
@@ -241,6 +242,7 @@ def test_criterion_7_preset_trend_reproduction():
            elapsed, 300.0)
 
 
+@pytest.mark.slow
 def test_criterion_8_rank_sweep_argmin(tmp_path):
     t0 = time.perf_counter()
     # Forward-pass configuration of the full tracker (dynamic model re-fit,

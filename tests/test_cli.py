@@ -1,15 +1,18 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subtrack.cli as cli
 import subtrack.pipeline as pipeline
 from subtrack.cli import main
 from subtrack.config import load_config
 from subtrack.csvio import (file_digest, format_value, load_cir_csv, read_csv,
                             write_csv)
 from subtrack.errors import ConfigError
+from subtrack.metrics import cross_path_coherence
 from subtrack.subspace_tracking import PastdTracker
 
 SMALL = [
@@ -83,6 +86,14 @@ def test_run_exit_2_on_unknown_key(tmp_path, capsys):
     cfg.write_text("[sim]\nn_tapz = 64\n")
     assert run_cli(["run", "--config", cfg]) == 2
     assert "n_tapz" in capsys.readouterr().err
+
+
+def test_config_file_rejects_unknown_section(tmp_path):
+    for body in ("[bogus]\n", "[bogus]\nkey = 1\n"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(body)
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(cfg)
 
 
 def test_run_exit_2_on_missing_config():
@@ -190,16 +201,20 @@ def test_cir_csv_loader_rejects_holes(tmp_path):
         load_cir_csv(path)
 
 
-def test_replay_recorded_channel(tmp_path):
+def write_walk_cir(path, n=240, k=6):
+    """A recorded random-walk channel of n steps and k taps."""
     rng = np.random.default_rng(2)
-    n, k = 240, 6
     walk = np.cumsum(0.05 * (rng.standard_normal((n, k))
                              + 1j * rng.standard_normal((n, k))), axis=0)
     walk += rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    path = tmp_path / "cir.csv"
     write_csv(path, ["n", "k", "h_re", "h_im"],
               [[i, j, walk[i, j].real, walk[i, j].imag]
                for i in range(n) for j in range(k)])
+    return path
+
+
+def test_replay_recorded_channel(tmp_path):
+    path = write_walk_cir(tmp_path / "cir.csv")
     out = tmp_path / "out"
     code = run_cli(["run", "--override", f"run.cir_csv={path}",
                     "--override", "tracker.rank=3",
@@ -228,3 +243,125 @@ def test_algorithm_ordering_majority_of_seeds(tmp_path):
     ordered = sum(1 for v in by_seed.values()
                   if v["dfb_asrmae"] < v["asrmae"] < v["lms"])
     assert ordered >= 4  # >= 80% of seeds
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-rank", "--algo", "asrmae", "--ranks", "1-8",  # 8 > 6 taps
+     "--override", "tracker.n_train=80"],
+    ["sweep-rank", "--algo", "asrmae", "--ranks", "3"],  # n_train 1000 >= 240 steps
+    ["run", "--algos", "asrmae", "--override", "tracker.rank=8",
+     "--override", "tracker.n_train=80"],
+], ids=["sweep-rank-over-taps", "sweep-rank-n-train", "run-rank-over-taps"])
+def test_replayed_record_checked_before_tracking(tmp_path, monkeypatch, args):
+    monkeypatch.setitem(pipeline.ALGORITHMS, "asrmae",
+                        lambda *a: pytest.fail("tracked before the record check"))
+    path = write_walk_cir(tmp_path / "cir.csv")
+    out = tmp_path / "out"
+    assert run_cli([*args, "--override", f"run.cir_csv={path}", "--seed", "0",
+                    "--out", out]) == 2
+    assert not out.exists()
+
+
+def test_negative_seeds_are_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="seeds"):
+        load_config(None, ["run.seeds=-1,"])
+    with pytest.raises(ConfigError, match="seeds"):
+        load_config(None, ["run.seeds=2,-3"])
+    assert run_cli(["run", *SMALL, "--seed", "-1", "--out", tmp_path / "out"]) == 2
+
+
+# One accepted value (raw, parsed) and one rejected raw value per config key;
+# str keys take any value, so they have no rejected one.
+CONFIG_KEYS = {
+    ("sim", "n_taps"): ("32", 32, "3.5"),
+    ("sim", "n_steps"): ("4000", 4000, "many"),
+    ("sim", "n_train"): ("500", 500, "1e3"),
+    ("sim", "r_true"): ("4", 4, "four"),
+    ("sim", "seed"): ("7", 7, "0x"),
+    ("sim", "snr_db"): ("15.5", 15.5, "loud"),
+    ("sim", "phi_lo"): ("0.95", 0.95, "high"),
+    ("sim", "phi_hi"): ("0.9999", 0.9999, "1..0"),
+    ("sim", "omega_q"): ("1e-3", 1e-3, "fast"),
+    ("sim", "phi_drift"): ("0.02", 0.02, "x"),
+    ("sim", "preset"): (" rough ", "rough", None),
+    ("sim", "power_decay"): ("0.8", 0.8, "-"),
+    ("tracker", "order"): ("2", 2, "2.0"),
+    ("tracker", "rank"): ("6", 6, "six"),
+    ("tracker", "mu"): ("0.01", 0.01, "big"),
+    ("tracker", "beta"): ("0.99", 0.99, "one"),
+    ("tracker", "n_train"): ("500", 500, "5e2"),
+    ("tracker", "sigma_v2"): ("0.25", 0.25, "quiet"),
+    ("tracker", "dynamic_phi"): ("false", False, "maybe"),
+    ("tracker", "correlated_noise"): ("no", False, "2"),
+    ("tracker", "fb_smoothing"): ("Off", False, "nope"),
+    ("tracker", "floor_db"): ("-90.5", -90.5, "low"),
+    ("tracker", "reorth_period"): ("25", 25, "often"),
+    ("run", "algos"): ("lms, asrmae", ("lms", "asrmae"), "kalman"),
+    ("run", "seeds"): ("3", (0, 1, 2), "three"),
+    ("run", "out_dir"): (" elsewhere ", "elsewhere", None),
+    ("run", "emit_errors"): ("0", False, "none"),
+    ("run", "emit_phi_traj"): ("no", False, "y"),
+    ("run", "emit_coherence"): ("false", False, "f"),
+    ("run", "emit_spectrum"): ("off", False, "disabled"),
+    ("run", "cir_csv"): (" rec.csv ", "rec.csv", None),
+}
+
+
+def test_config_keys_are_the_dataclass_fields():
+    cfg = load_config()
+    fields = {(section, f.name) for section in ("sim", "tracker", "run")
+              for f in dataclasses.fields(getattr(cfg, section))}
+    assert set(CONFIG_KEYS) == fields
+    for key in ("sim.pulse_span", "sim.n_tapz", "tracker.ranks", "run.seed"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(None, [f"{key}=1"])
+
+
+@pytest.mark.parametrize("section,key", sorted(CONFIG_KEYS))
+def test_config_key_override_typed(section, key):
+    raw, parsed, bad = CONFIG_KEYS[(section, key)]
+    value = getattr(getattr(load_config(None, [f"{section}.{key}={raw}"]), section), key)
+    assert value == parsed
+    assert type(value) is type(parsed)
+    if bad is not None:
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(None, [f"{section}.{key}={bad}"])
+
+
+ALL_RUN_FILES = {"summary.csv", "errors.csv", "phi_traj.csv", "coherence_taps.csv",
+                 "coherence_components.csv", "eigenspectrum.csv"}
+
+
+@pytest.mark.parametrize("flag,dropped", [
+    ("emit_errors", {"errors.csv"}),
+    ("emit_phi_traj", {"phi_traj.csv"}),
+    ("emit_coherence", {"coherence_taps.csv", "coherence_components.csv"}),
+    ("emit_spectrum", {"eigenspectrum.csv"}),
+])
+def test_run_emit_flag_off_drops_its_files(tmp_path, flag, dropped):
+    out = tmp_path / "out"
+    assert run_cli(["run", *SMALL, "--seed", "1", "--out", out,
+                    "--override", f"run.{flag}=false"]) == 0
+    expected = ALL_RUN_FILES - dropped
+    assert {p.name for p in out.iterdir()} == expected | {"manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == expected
+
+
+def test_coherence_table_matches_reference_loop():
+    series = np.random.default_rng(3).standard_normal((50, 4)) + 0j
+    series[:, 2] = 0.0  # a zero-power column: undefined off the diagonal
+    matrix = cross_path_coherence(series)
+    reference = []
+    for j in range(4):
+        for k in range(4):
+            value = matrix.rho[j, k]
+            defined = bool(matrix.defined[j] and matrix.defined[k])
+            shown = defined or j == k
+            reference.append([j, k, value.real if shown else float("nan"),
+                              value.imag if shown else float("nan"), int(defined)])
+    header, rows = cli._coherence_table(matrix)
+    assert header == ["row", "col", "rho_re", "rho_im", "defined"]
+    assert ([[format_value(v) for v in row] for row in rows]
+            == [[format_value(v) for v in row] for row in reference])
+    assert sum(row[4] for row in rows) == 9
