@@ -38,17 +38,27 @@ SYMBOL_SEED_OFFSET = 1_000_000
 NOISE_SEED_OFFSET = 2_000_000
 
 
-def _simulate(cfg: ExperimentConfig, seed: int):
-    """Build (trajectory, observations) for one seed."""
-    if cfg.run.cir_csv:
-        traj = load_cir_csv(cfg.run.cir_csv)
+def _simulate(cfg: ExperimentConfig, seed: int, record=None):
+    """Build (trajectory, observations) for one seed; ``record`` is the
+    replayed ``run.cir_csv`` channel, loaded here when not passed in."""
+    if record is None and cfg.run.cir_csv:
+        record = load_cir_csv(cfg.run.cir_csv)
+    if record is not None:
+        traj = record
     else:
-        sim = dataclasses.replace(cfg.sim, seed=seed)
-        traj, _ = synth_latent_channel(sim)
+        traj, _ = synth_latent_channel(dataclasses.replace(cfg.sim, seed=seed))
     symbols = gen_symbols(traj.n_steps, seed=seed + SYMBOL_SEED_OFFSET)
     sigma_v2 = noise_variance_for_snr(traj, cfg.sim.snr_db)
     obs = generate_observations(traj, symbols, sigma_v2, seed=seed + NOISE_SEED_OFFSET)
     return traj, obs
+
+
+def _simulations(cfg: ExperimentConfig):
+    """Yield (seed, trajectory, observations) for each configured seed, one at a
+    time; a replayed record is loaded once for all of them."""
+    record = load_cir_csv(cfg.run.cir_csv) if cfg.run.cir_csv else None
+    for seed in cfg.run.seeds:
+        yield (seed, *_simulate(cfg, seed, record))
 
 
 def _check_record(traj, ranks, n_train: int) -> None:
@@ -62,8 +72,7 @@ def _check_record(traj, ranks, n_train: int) -> None:
             f"{traj.n_steps}-step record")
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    traj, obs = _simulate(cfg, seed)
+def _run_seed(cfg: ExperimentConfig, traj, obs) -> dict:
     tracker = cfg.tracker
     _check_record(traj, [tracker.rank], tracker.n_train)
     with shared_front_end():
@@ -72,7 +81,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> dict:
 
 def _first_seed_channel(cfg: ExperimentConfig):
     """The first seed's channel (simulated or replayed) and its sample covariance."""
-    traj, _ = _simulate(cfg, cfg.run.seeds[0])
+    _, traj, _ = next(_simulations(cfg))
     return traj, estimate_channel_covariance(traj.h, traj.n_steps)
 
 
@@ -100,7 +109,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     Returns the manifest dictionary (also written as ``manifest.json``).
     """
     started = time.time()
-    per_seed = [(seed, _run_seed(cfg, seed)) for seed in cfg.run.seeds]
+    per_seed = [(seed, _run_seed(cfg, traj, obs)) for seed, traj, obs in _simulations(cfg)]
     results = [(seed, algo, found[algo]) for seed, found in per_seed
                for algo in cfg.run.algos]
 
@@ -141,15 +150,23 @@ def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
     started = time.time()
     # One simulation per seed, shared read-only across every rank.
     sims = {}
-    for seed in cfg.run.seeds:
-        traj, sims[seed] = _simulate(cfg, seed)
+    for seed, traj, obs in _simulations(cfg):
         _check_record(traj, ranks, cfg.tracker.n_train)
+        sims[seed] = obs
+
+    # One front end per seed: widest rank first, so its PAST-d pass holds
+    # every narrower one.
+    err = {}
+    for seed, obs in sims.items():
+        with shared_front_end():
+            for rank in sorted(set(ranks), reverse=True):
+                job_cfg = dataclasses.replace(cfg.tracker, rank=rank)
+                err[rank, seed] = ALGORITHMS[algo](obs, job_cfg).mean_err_db
 
     rows = []
     for rank in ranks:
-        job_cfg = dataclasses.replace(cfg.tracker, rank=rank)
-        errs = [ALGORITHMS[algo](sims[seed], job_cfg).mean_err_db for seed in cfg.run.seeds]
-        rows.extend([rank, seed, err] for seed, err in zip(cfg.run.seeds, errs))
+        errs = [err[rank, seed] for seed in cfg.run.seeds]
+        rows.extend([rank, seed, e] for seed, e in zip(cfg.run.seeds, errs))
         rows.append([rank, "all", float(np.mean(errs))])
     return _write_outputs(cfg, out_dir, started,
                           {"rank_sweep.csv": (["r", "seed", "mean_err_db"], rows)},

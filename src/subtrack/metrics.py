@@ -76,10 +76,14 @@ def cross_path_coherence(series: np.ndarray, kind: str = "taps") -> CoherenceMat
     return CoherenceMatrix(rho=rho, kind=kind, defined=defined)
 
 
-def eigenvalue_spectrum(channel_cov: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a covariance, descending, normalized by the largest."""
-    dec = evd_hermitian(channel_cov)
-    top = dec.eigenvalues[0]
+def normalized_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues divided by the largest, which must be positive."""
+    top = eigenvalues[0]
     if top <= 0:
         raise UndefinedMetricError("eigenvalue_spectrum: covariance has no positive eigenvalue")
-    return dec.eigenvalues / top
+    return eigenvalues / top
+
+
+def eigenvalue_spectrum(channel_cov: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a covariance, descending, normalized by the largest."""
+    return normalized_spectrum(evd_hermitian(channel_cov).eigenvalues)

@@ -5,7 +5,8 @@ All three runners consume an :class:`~subtrack.channel_sim.ObservationSequence`
 and a :class:`TrackerConfig` and return a :class:`TrackResult`.  The
 forward-only tracker and the forward-backward tracker share one engine, so
 disabling every enhancement flag reproduces the baseline bit for bit; within
-:func:`shared_front_end` the runners share one LMS, coarse fit and PAST-d pass.
+:func:`shared_front_end` the runners share one LMS pass, one coarse fit per
+rank and one PAST-d pass for every rank.
 """
 
 import contextlib
@@ -18,11 +19,13 @@ import numpy as np
 from .channel_sim import ObservationSequence
 from .coarse_est import LmsConfig, fit_coarse_model, lms_residuals, lms_track
 from .errors import InvalidInputError
-# fb_combine is unused here but stays bound: the benchmark's tracer wraps it.
+# fb_combine and eigenvalue_spectrum are unused here but stay bound: the
+# benchmark's tracer wraps them.
 from .kalman_core import (RecursiveAutocorr, backward_model, fb_combine,
                           fb_fuse, kf_predict, kf_update, predict_transition)
 from .metrics import (DEFAULT_FLOOR_DB, CoherenceMatrix, cross_path_coherence,
-                      eigenvalue_spectrum, normalized_prediction_error)
+                      eigenvalue_spectrum, normalized_prediction_error,
+                      normalized_spectrum)
 from .subspace_tracking import PastdTracker
 
 BACKWARD_PRIOR_SCALE = 1e3
@@ -102,9 +105,13 @@ def _filter_noise_variance(cfg: TrackerConfig, obs: ObservationSequence,
 def shared_front_end():
     """Let the runners share LMS, the coarse fit and PAST-d on one record.
 
-    Inside the scope each front end is built once per observation object and
-    setting it depends on, with results bit-identical to separate calls; the
-    observations must not change meanwhile.  The memo is per thread.
+    Inside the scope LMS and each coarse fit are built once per observation
+    object and setting they depend on, and PAST-d once per setting at the
+    widest rank asked for so far, which every narrower rank slices; results
+    are bit-identical to separate calls, except that a rank-1 slice differs
+    from a rank-1 pass by rounding (a (K, 1) basis column is contiguous, so
+    another BLAS kernel runs).  The observations must not change meanwhile.
+    The memo is per thread.
     """
     token = _SHARED.set({})
     try:
@@ -113,14 +120,18 @@ def shared_front_end():
         _SHARED.reset(token)
 
 
-def _shared(obs: ObservationSequence, key: tuple, build):
+def _shared(obs: ObservationSequence, key: tuple, build, reuse=lambda held: True):
+    """``build()``, or within :func:`shared_front_end` the value held under
+    ``key`` for ``obs`` when ``reuse`` accepts it."""
     memo = _SHARED.get()
     if memo is None:
         return build()
     key = (id(obs),) + key
-    if key not in memo:  # holding obs keeps its id unique while the memo lives
-        memo[key] = (obs, build())
-    return memo[key][1]
+    held = memo.get(key)
+    if held is None or not reuse(held[1]):
+        # Holding obs keeps its id unique while the memo lives.
+        memo[key] = held = (obs, build())
+    return held[1]
 
 
 def _lms(obs: ObservationSequence, cfg: TrackerConfig) -> np.ndarray:
@@ -130,11 +141,20 @@ def _lms(obs: ObservationSequence, cfg: TrackerConfig) -> np.ndarray:
 
 def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
     """LMS over the whole record -> coarse model fit on its training prefix ->
-    PAST-d basis sequence ``q_seq`` (N, K, r) driven by the LMS estimates."""
-    def build():
-        h_lms = _lms(obs, cfg)
-        coarse = fit_coarse_model(obs.d, obs.r, cfg.n_train, cfg.rank, cfg.order,
-                                  LmsConfig(mu=cfg.mu), h_lms=h_lms)
+    PAST-d basis sequence ``q_seq`` (N, K, r) driven by the LMS estimates.
+
+    PAST-d deflates, so column i never sees a later column: the first r
+    columns of a rank-R pass are the rank-r pass, and one pass serves every
+    rank up to R.  The coarse fit stays per rank (its full process-noise
+    floor is not rank-nested).
+    """
+    h_lms = _lms(obs, cfg)
+    coarse = _shared(obs, ("coarse", cfg.mu, cfg.n_train, cfg.rank, cfg.order),
+                     lambda: fit_coarse_model(obs.d, obs.r, cfg.n_train, cfg.rank,
+                                              cfg.order, LmsConfig(mu=cfg.mu),
+                                              h_lms=h_lms))
+
+    def build_pastd():
         powers = np.maximum(coarse.eigenvalues[:cfg.rank],
                             max(1e-12 * max(coarse.eigenvalues[0], 0.0), 1e-20))
         pastd = PastdTracker(coarse.basis, powers, beta=cfg.beta,
@@ -142,9 +162,12 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
         q_seq = np.empty(obs.d.shape + (cfg.rank,), dtype=np.complex128)
         for n in range(len(h_lms)):
             q_seq[n] = pastd.step(h_lms[n])
-        return h_lms, coarse, q_seq
-    return _shared(obs, ("front", cfg.mu, cfg.n_train, cfg.rank, cfg.order,
-                         cfg.beta, cfg.reorth_period), build)
+        return q_seq
+
+    q_seq = _shared(obs, ("pastd", cfg.mu, cfg.n_train, cfg.order, cfg.beta,
+                          cfg.reorth_period), build_pastd,
+                    reuse=lambda held: held.shape[2] >= cfg.rank)
+    return h_lms, coarse, q_seq[:, :, :cfg.rank]
 
 
 def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: str,
@@ -197,12 +220,16 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         covs_b = np.empty((n_steps, dim, dim), dtype=np.complex128)
         mean = np.zeros(dim, dtype=np.complex128)
         cov = BACKWARD_PRIOR_SCALE * np.eye(dim, dtype=np.complex128)
+        forward = reverse = None  # the last model inverted, and its inverse
         for n in range(n_steps - 1, -1, -1):
             mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
             means_b[n] = mean
             covs_b[n] = cov
             if n > 0:
-                mean, cov = kf_predict(mean, cov, backward_model(prediction_models[n - 1]))
+                if prediction_models[n - 1] is not forward:
+                    forward = prediction_models[n - 1]
+                    reverse = backward_model(forward)
+                mean, cov = kf_predict(mean, cov, reverse)
 
         fused = fb_fuse(means_f, covs_f, means_b, covs_b)
         z_out = fused[:, :rank]
@@ -217,7 +244,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     return TrackResult(
         algo=algo, h_tracked=h_out, xi=xi_out, err_db=err_db, mean_err_db=mean_db,
         rank=rank, order=order, n_train=n_train, phi_traj=phi_traj,
-        noise_cov=noise_cov, eigen_spectrum=eigenvalue_spectrum(coarse.channel_cov),
+        noise_cov=noise_cov, eigen_spectrum=normalized_spectrum(coarse.eigenvalues),
         coherence_taps=cross_path_coherence(h_out[n_train:], kind="taps"),
         coherence_components=cross_path_coherence(z_out[n_train:], kind="components"))
 

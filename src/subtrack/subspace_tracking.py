@@ -12,8 +12,8 @@ import numpy as np
 from .errors import InvalidInputError, TrackerStallError
 
 POWER_UNDERFLOW = 1e-30
-# Columns whose power falls this far below the strongest are held fixed:
-# updating them would amplify numerical noise by 1/power.
+# Columns whose power falls this far below the strongest column before them
+# are held fixed: updating them would amplify numerical noise by 1/power.
 FREEZE_RATIO = 1e-12
 
 
@@ -66,7 +66,10 @@ class PastdTracker:
                 f"PastdTracker.step: input shape {x.shape} != ({self.n_inputs},)")
         k = self.n_inputs
         work = x.copy()
-        freeze_level = FREEZE_RATIO * float(self.powers.max())
+        # Column i is measured against the strongest of columns 0..i only, so
+        # like the deflation itself it never looks at a later column: the
+        # first r columns of a rank-R tracker are a rank-r tracker.
+        freeze_levels = (FREEZE_RATIO * np.maximum.accumulate(self.powers)).tolist()
         for i in range(self.rank):
             col = self.w[:, i]
             y = np.vdot(col, work)
@@ -75,10 +78,10 @@ class PastdTracker:
                 raise TrackerStallError(
                     f"PastdTracker: power estimate for column {i} underflowed "
                     f"({self.powers[i]:.3e})")
-            if self.powers[i] < freeze_level:
+            if self.powers[i] < freeze_levels[i]:
                 # Unexcited direction: hold the column instead of amplifying
                 # noise; it re-activates as soon as real energy returns.
-                self.powers[i] = freeze_level
+                self.powers[i] = freeze_levels[i]
                 self.multiply_count += k + 1
                 continue
             col += (work - col * y) * (y.conjugate() / self.powers[i])

@@ -53,8 +53,8 @@ def test_run_determinism_byte_identical(tmp_path):
         assert read_body(out1 / name) == read_body(out2 / name), name
 
 
-@pytest.mark.parametrize("n_seeds", [1, 2])
-def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, n_seeds):
+def count_front_ends(monkeypatch):
+    """Lists that grow by one per LMS pass and per PastdTracker built."""
     lms_calls, trackers = [], []
     real_lms, real_init = pipeline.lms_track, PastdTracker.__init__
 
@@ -65,10 +65,53 @@ def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, n_seeds):
     monkeypatch.setattr(pipeline, "lms_track",
                         lambda *a, **kw: lms_calls.append(1) or real_lms(*a, **kw))
     monkeypatch.setattr(PastdTracker, "__init__", counting_init)
+    return lms_calls, trackers
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2])
+def test_run_shares_one_front_end_per_seed(tmp_path, monkeypatch, n_seeds):
+    lms_calls, trackers = count_front_ends(monkeypatch)
     assert run_cli(["run", *SMALL, "--seeds", n_seeds, "--out", tmp_path / "out",
                     "--algos", "lms,asrmae,dfb_asrmae"]) == 0
     assert len(lms_calls) == n_seeds
     assert len(trackers) == n_seeds
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2])
+def test_sweep_rank_shares_one_front_end_per_seed(tmp_path, monkeypatch, n_seeds):
+    lms_calls, trackers = count_front_ends(monkeypatch)
+    assert run_cli(["sweep-rank", *SMALL, "--seeds", n_seeds, "--out", tmp_path / "out",
+                    "--ranks", "2,4,1,3", "--algo", "dfb_asrmae"]) == 0
+    assert len(lms_calls) == n_seeds
+    assert len(trackers) == n_seeds
+    assert {t.rank for t in trackers} == {4}
+
+
+def test_sweep_rank_rows_match_standalone_runs(tmp_path):
+    # Unsorted, with a repeated rank: rows keep the --ranks order, one block
+    # per occurrence, each equal to a run outside the shared front end.
+    ranks = [2, 5, 1, 3, 5]
+    out = tmp_path / "out"
+    assert run_cli(["sweep-rank", *SMALL, "--seeds", "2", "--out", out,
+                    "--ranks", ",".join(map(str, ranks)), "--algo", "dfb_asrmae"]) == 0
+    _, rows = read_csv(out / "rank_sweep.csv")
+
+    cfg = load_config(None, [*SMALL[1::2], "run.seeds=2"])
+    sims = [cli._simulate(cfg, seed)[1] for seed in cfg.run.seeds]
+    expected = []
+    for rank in ranks:
+        job = dataclasses.replace(cfg.tracker, rank=rank)
+        errs = [pipeline.run_dfb_asrmae(obs, job).mean_err_db for obs in sims]
+        expected += [[rank, seed, err] for seed, err in zip(cfg.run.seeds, errs)]
+        expected.append([rank, "all", float(np.mean(errs))])
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    for row, want in zip(rows, expected):
+        if row[0] == 1:
+            # A rank-1 slice of the shared PAST-d pass differs from a rank-1
+            # pass by rounding (see pipeline.shared_front_end).
+            assert row[2] == pytest.approx(want[2], rel=1e-12)
+        else:
+            assert row[2] == want[2], row
 
 
 def test_run_emits_expected_files_and_manifest(tmp_path):
@@ -260,6 +303,22 @@ def test_replayed_record_checked_before_tracking(tmp_path, monkeypatch, args):
     assert run_cli([*args, "--override", f"run.cir_csv={path}", "--seed", "0",
                     "--out", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-rank", "--algo", "asrmae", "--ranks", "1-3"],
+    ["run", "--algos", "asrmae", "--override", "tracker.rank=3"],
+], ids=["sweep-rank", "run"])
+def test_replayed_record_loaded_once_per_command(tmp_path, monkeypatch, args):
+    calls = []
+    real = cli.load_cir_csv
+    monkeypatch.setattr(cli, "load_cir_csv",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    path = write_walk_cir(tmp_path / "cir.csv")
+    assert run_cli([*args, "--override", f"run.cir_csv={path}",
+                    "--override", "tracker.n_train=80", "--seeds", "3",
+                    "--out", tmp_path / "out"]) == 0
+    assert len(calls) == 1
 
 
 def test_negative_seeds_are_config_errors(tmp_path):

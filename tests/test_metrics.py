@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from subtrack.errors import InvalidInputError, UndefinedMetricError
 from subtrack.metrics import (cross_path_coherence, eigenvalue_spectrum,
-                              normalized_prediction_error)
+                              normalized_prediction_error, normalized_spectrum)
 
 
 def test_error_no_model_predictor_is_zero_db():
@@ -110,3 +110,10 @@ def test_spectrum_latent_generator_rank():
 def test_spectrum_rejects_zero_matrix():
     with pytest.raises(UndefinedMetricError):
         eigenvalue_spectrum(np.zeros((4, 4)))
+
+
+def test_normalized_spectrum_divides_by_the_largest():
+    assert_allclose(normalized_spectrum(np.array([4.0, 2.0, 0.0])), [1.0, 0.5, 0.0])
+    for top in (0.0, -1.0):
+        with pytest.raises(UndefinedMetricError):
+            normalized_spectrum(np.array([top, -2.0]))

@@ -162,3 +162,51 @@ def test_shared_front_end_memo_is_scoped(monkeypatch):
     run_lms(obs, cfg)
     run_lms(obs, cfg)
     assert len(calls) == 4
+
+
+def test_shared_front_end_slices_one_pastd_pass_across_ranks(monkeypatch):
+    import subtrack.pipeline as pipeline
+
+    built = []
+    real = pipeline.PastdTracker
+    monkeypatch.setattr(pipeline, "PastdTracker",
+                        lambda basis, *a, **kw: built.append(basis.shape[1])
+                        or real(basis, *a, **kw))
+    _, _, obs, _ = make_observations(preset="rough")
+    # 4 builds a pass, 2 and 3 slice it, 6 needs a wider one, 5 slices that.
+    cfgs = [TrackerConfig(rank=r, n_train=500) for r in (4, 2, 6, 3, 5)]
+    alone = [run_dfb_asrmae(obs, cfg) for cfg in cfgs]
+    built.clear()
+    with shared_front_end():
+        shared = [run_dfb_asrmae(obs, cfg) for cfg in cfgs]
+    assert built == [4, 6]
+    for a, b in zip(alone, shared):
+        assert np.array_equal(a.h_tracked, b.h_tracked)
+        assert np.array_equal(a.xi, b.xi)
+        assert a.mean_err_db == b.mean_err_db
+
+
+@pytest.mark.parametrize("dynamic_phi", [False, True])
+def test_backward_pass_inverts_each_distinct_model_once(monkeypatch, dynamic_phi):
+    import subtrack.pipeline as pipeline
+
+    inverted = []
+    real = pipeline.backward_model
+    monkeypatch.setattr(pipeline, "backward_model",
+                        lambda model: inverted.append(model) or real(model))
+    _, _, obs, _ = make_observations(preset="rough")
+    cfg = TrackerConfig(rank=6, n_train=500, dynamic_phi=dynamic_phi)
+    run_dfb_asrmae(obs, cfg)
+    assert len({id(m) for m in inverted}) == len(inverted)
+    if not dynamic_phi:
+        assert len(inverted) == 1
+
+
+def test_eigen_spectrum_is_the_coarse_fit_covariance_spectrum():
+    from subtrack.coarse_est import LmsConfig, fit_coarse_model
+    from subtrack.metrics import eigenvalue_spectrum
+
+    _, _, obs, _ = make_observations()
+    res = run_asrmae(obs, TrackerConfig(rank=6, n_train=500))
+    coarse = fit_coarse_model(obs.d, obs.r, 500, 6, 1, LmsConfig())
+    assert np.array_equal(res.eigen_spectrum, eigenvalue_spectrum(coarse.channel_cov))

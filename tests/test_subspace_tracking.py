@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from subtrack.errors import InvalidInputError, TrackerStallError
-from subtrack.subspace_tracking import PastdTracker
+from subtrack.subspace_tracking import FREEZE_RATIO, PastdTracker
 
 
 def random_basis(k, r, rng):
@@ -131,3 +131,46 @@ def test_validates_construction():
         PastdTracker(np.eye(3), np.ones(3), beta=1.5)
     with pytest.raises(InvalidInputError):
         PastdTracker(np.eye(3), np.zeros(3), beta=0.9)
+
+
+def nested_pair(powers, x, r, reorth_period=5):
+    """A rank-R tracker and a rank-r tracker on the first r of its columns,
+    both stepped through ``x``; returns both trackers and their per-step bases."""
+    basis = np.eye(x.shape[1], dtype=complex)[:, :len(powers)]
+    wide = PastdTracker(basis, powers, beta=0.99, reorth_period=reorth_period)
+    narrow = PastdTracker(basis[:, :r], powers[:r], beta=0.99,
+                          reorth_period=reorth_period)
+    wide_seq = [wide.step(row) for row in x]
+    narrow_seq = [narrow.step(row) for row in x]
+    return wide, narrow, np.array(wide_seq), np.array(narrow_seq)
+
+
+def test_leading_columns_of_a_wider_tracker_are_the_narrower_tracker():
+    # Column 3 (beyond r = 3) starts strongest; column 1's power lies between
+    # 1e-12 of column 0's and 1e-12 of column 3's, so measured against every
+    # column it would freeze in the rank-5 tracker only; column 2 carries no
+    # energy and freezes in both.
+    rng = np.random.default_rng(4)
+    k, n = 8, 40
+    powers = np.array([1.0, 1e-10, 1e-16, 1e3, 0.5])
+    x = 0.3 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    x[:, 1] *= 1e-5
+    x[:, 2] = 0.0
+    x[:, 3] *= 30.0
+    wide, narrow, wide_seq, narrow_seq = nested_pair(powers, x, 3)
+
+    assert np.array_equal(wide_seq[:, :, :3], narrow_seq)
+    assert np.array_equal(wide.powers[:3], narrow.powers)
+    # The freeze path ran: column 2 never moved, and its power, which the
+    # forgetting factor alone would only shrink, was raised to a freeze level.
+    assert np.array_equal(narrow.w[:, 2], np.eye(k)[:, 2])
+    assert narrow.powers[2] >= FREEZE_RATIO * powers[0]
+
+
+def test_rank_one_slice_differs_only_by_rounding():
+    # A (K, 1) basis column is contiguous and a wider basis's columns are
+    # strided, so numpy's dot runs another kernel: equal up to rounding.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((200, 6)) + 1j * rng.standard_normal((200, 6))
+    *_, wide_seq, narrow_seq = nested_pair(np.array([3.0, 2.0, 1.0]), x, 1)
+    assert_allclose(wide_seq[:, :, :1], narrow_seq, rtol=0, atol=1e-13)
