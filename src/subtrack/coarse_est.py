@@ -141,7 +141,8 @@ def autocorrelation_table(z_seq: np.ndarray, order: int, n_train: int) -> np.nda
 
 
 def build_initial_model(autocorr: np.ndarray, order: int, rank: int):
-    """Fit the per-component AR model and assemble the stacked transition model.
+    """Fit every component's AR model in one stacked Yule-Walker solve and
+    assemble the stacked transition model.
 
     Returns ``(model, noise_diag)``: the companion-form transition model whose
     process noise is the diagonal matrix of fitted innovation variances, and
@@ -151,14 +152,9 @@ def build_initial_model(autocorr: np.ndarray, order: int, rank: int):
     if autocorr.shape != (rank, order + 1):
         raise InvalidInputError(
             f"build_initial_model: table shape {autocorr.shape} != ({rank}, {order + 1})")
-    phi = np.empty((rank, order), dtype=np.complex128)
-    noise = np.empty(rank, dtype=np.float64)
-    for i in range(rank):
-        sol = solve_yule_walker(autocorr[i], order)
-        phi[i] = sol.phi
-        noise[i] = sol.noise_variance
-    noise_diag = np.diag(noise).astype(np.complex128)
-    model = ArTransitionModel(phi=phi, noise_cov=noise_diag)
+    sol = solve_yule_walker(autocorr, order)
+    noise_diag = np.diag(sol.noise_variance).astype(np.complex128)
+    model = ArTransitionModel(phi=sol.phi, noise_cov=noise_diag)
     return model, noise_diag
 
 

@@ -73,25 +73,35 @@ def file_digest(path) -> str:
 def load_cir_csv(path, t_tap: float = 1.0, t_snapshot: float = 1.0) -> ChannelTrajectory:
     """Load a recorded tap trajectory from columns (n, k, h_re, h_im).
 
-    Step and tap indices must form a complete 0-based (or 1-based) grid.
+    Step and tap indices must form a complete 0-based (or 1-based) grid.  The
+    numeric rows are parsed by numpy; a bad header, a non-numeric cell or a
+    row without exactly four cells is a ``ConfigError``.
     """
-    header, rows = read_csv(path)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = next(csv.reader(lines[:1]), [])
     expected = ["n", "k", "h_re", "h_im"]
     if [h.strip() for h in header] != expected:
         raise ConfigError(f"load_cir_csv: header must be {expected}, got {header}")
-    if not rows:
+    body = [line for line in lines[1:] if line.strip()]
+    if not body:
         raise ConfigError("load_cir_csv: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"load_cir_csv: {path}: {exc}") from None
+    if data.shape[1] != len(expected):
+        raise ConfigError(
+            f"load_cir_csv: rows must have {len(expected)} cells, got {data.shape[1]}")
     n_idx = data[:, 0].astype(int)
     k_idx = data[:, 1].astype(int)
     base_n, base_k = n_idx.min(), k_idx.min()
     n_idx -= base_n
     k_idx -= base_k
     n_steps, n_taps = n_idx.max() + 1, k_idx.max() + 1
-    if len(rows) != n_steps * n_taps:
+    if len(data) != n_steps * n_taps:
         raise ConfigError(
             f"load_cir_csv: expected {n_steps * n_taps} rows for a complete "
-            f"{n_steps} x {n_taps} grid, got {len(rows)}")
+            f"{n_steps} x {n_taps} grid, got {len(data)}")
     h = np.full((n_steps, n_taps), np.nan + 0j, dtype=np.complex128)
     h[n_idx, k_idx] = data[:, 2] + 1j * data[:, 3]
     if np.isnan(h.real).any():

@@ -4,7 +4,8 @@ The state is the stacked vector ``Z(n) = [z(n); z(n-1); ...; z(n-p+1)]`` of
 length r*p, evolving under a companion-form transition matrix whose first
 block row holds the per-lag diagonal coefficient blocks.  This module supplies
 the forward update/prediction steps, the running autocorrelation table that
-feeds per-step re-fits of the transition model, the inverted (backward-time)
+feeds per-step re-fits of the transition model (one stacked Yule-Walker solve
+over all components per step), the inverted (backward-time)
 model, and the two-filter combination of forward and backward filtered
 estimates, one step at a time (:func:`fb_combine`) or batched (:func:`fb_fuse`).
 The update, prediction and combination kernels take and return plain
@@ -50,9 +51,9 @@ class ArTransitionModel:
                 f"ArTransitionModel: noise_cov shape {self.noise_cov.shape} != ({rank}, {rank})")
         dim = rank * order
         companion = np.zeros((dim, dim), dtype=np.complex128)
-        for l in range(order):
-            block = slice(l * rank, (l + 1) * rank)
-            companion[:rank, block] = np.diag(self.phi[:, l])
+        # First block row, seen as (i, l, j): lag l's coefficients at j == i.
+        diag = np.arange(rank)
+        companion[:rank].reshape(rank, order, rank)[diag, :, diag] = self.phi
         if order > 1:
             sub = np.arange(dim - rank)
             companion[rank + sub, sub] = 1.0
@@ -160,8 +161,9 @@ def predict_transition(table: np.ndarray, order: int, rank: int,
                        previous: Optional[ArTransitionModel] = None) -> ArTransitionModel:
     """Re-fit the transition model from a (possibly running) autocorrelation table.
 
-    Coefficient vectors come from per-component Yule-Walker solves;
-    coefficients on or outside the unit circle are radially projected to
+    At p = 1 each coefficient is R(1)/R(0); at p >= 2 every component's
+    coefficients come from one stacked Yule-Walker solve over the table's
+    rows.  Coefficients on or outside the unit circle are radially projected to
     magnitude ``1 - 1e-6`` with their phase preserved.  The process noise is
     carried over unchanged (it is estimated once, on training data).  If any
     component's zero-lag power is nonpositive the ``previous`` model is
@@ -182,9 +184,7 @@ def predict_transition(table: np.ndarray, order: int, rank: int,
     if order == 1:
         phi = (table[:, 1] / table[:, 0].real)[:, np.newaxis]
     else:
-        phi = np.empty((rank, order), dtype=np.complex128)
-        for i in range(rank):
-            phi[i] = solve_yule_walker(table[i], order).phi
+        phi = solve_yule_walker(table, order).phi
     mags = np.abs(phi)
     unstable = mags >= 1.0
     if unstable.any():

@@ -2,17 +2,18 @@
 
 The numerical substrate for the rest of the package: covariance
 eigendecomposition with a deterministic eigenvector phase convention,
-dominant-subspace truncation, and the small Hermitian Toeplitz solves that fit
-autoregressive coefficients to autocorrelation sequences.
+dominant-subspace truncation, and the stacked Hermitian Toeplitz solves that
+fit autoregressive coefficients to autocorrelation sequences, all rows of a
+table at once.
 
 A subspace basis is represented throughout the package as a plain complex
 ndarray of shape (K, r) with orthonormal columns.
 """
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInputError, InvalidInputError
 
@@ -34,16 +35,18 @@ class EigenDecomposition:
 
 @dataclass
 class YuleWalkerSolution:
-    """AR(p) coefficients fitted to one autocorrelation sequence.
+    """AR(p) coefficients fitted to one autocorrelation sequence, or to each
+    row of a table.
 
-    ``phi[l-1]`` is the lag-l coefficient; ``noise_variance`` is the fitted
-    innovation variance (clamped at zero); ``condition_estimate`` is the
-    condition number of the Toeplitz system before any ridge was applied.
+    ``phi[..., l-1]`` is the lag-l coefficient; ``noise_variance`` is the
+    fitted innovation variance (clamped at zero); ``condition_estimate`` is the
+    condition number of the Toeplitz system before any ridge was applied.  For
+    a table the two are (m,) arrays, one entry per row.
     """
 
     phi: np.ndarray
-    noise_variance: float
-    condition_estimate: float
+    noise_variance: Union[float, np.ndarray]
+    condition_estimate: Union[float, np.ndarray]
 
 
 def evd_hermitian(r_mat: np.ndarray) -> EigenDecomposition:
@@ -87,40 +90,57 @@ def truncate_subspace(dec: EigenDecomposition, rank: int) -> np.ndarray:
 
 
 def solve_yule_walker(autocorr: np.ndarray, order: int, ridge: float = 1e-8) -> YuleWalkerSolution:
-    """Fit AR(``order``) coefficients to one tap's autocorrelation sequence.
+    """Fit AR(``order``) coefficients to autocorrelation sequences, one per row.
 
     Parameters
     ----------
-    autocorr : array of R(0), R(1), ..., R(order), complex.  Negative lags
+    autocorr : R(0), R(1), ..., R(order), complex: one sequence, or an
+        (m, >= order+1) table holding one sequence per row.  Negative lags
         are taken as conjugates (Hermitian autocorrelation).
     order : AR order p >= 1.
-    ridge : relative Tikhonov ridge added as ``ridge * R(0) * I`` when the
-        Toeplitz system's condition estimate exceeds 1e12.
+    ridge : relative Tikhonov ridge added as ``ridge * R(0) * I`` to each row
+        whose Toeplitz system's condition estimate exceeds 1e12.
 
-    Solves the p x p Hermitian Toeplitz system linking autocorrelations to AR
-    coefficients; the innovation variance is
-    ``R(0) - sum_l phi_l conj(R(l))``, clamped at zero.
+    Solves every row's p x p Hermitian Toeplitz system linking
+    autocorrelations to AR coefficients in one stacked solve; the innovation
+    variance is ``R(0) - sum_l phi_l conj(R(l))``, clamped at zero.  A single
+    sequence gives ``phi`` (p,) and float variance and condition; a table
+    gives ``phi`` (m, p) and (m,) arrays, each row equal to its own 1-D solve.
     """
-    autocorr = np.asarray(autocorr, dtype=np.complex128).reshape(-1)
+    autocorr = np.asarray(autocorr, dtype=np.complex128)
+    single = autocorr.ndim == 1
+    table = np.atleast_2d(autocorr)
     if order < 1:
         raise InvalidInputError(f"solve_yule_walker: order must be >= 1, got {order}")
-    if autocorr.size < order + 1:
+    if table.ndim != 2 or table.shape[1] < order + 1:
         raise InvalidInputError(
-            f"solve_yule_walker: need lags 0..{order}, got {autocorr.size} values")
-    r0 = autocorr[0]
-    if not np.isfinite(r0) or r0.real <= 0 or abs(r0.imag) > 1e-8 * abs(r0.real):
+            f"solve_yule_walker: need lags 0..{order} per row, got shape {autocorr.shape}")
+    r0 = table[:, 0]
+    bad = np.flatnonzero(~np.isfinite(r0) | (r0.real <= 0)
+                         | (np.abs(r0.imag) > 1e-8 * np.abs(r0.real)))
+    if bad.size:
+        where = "" if single else f" in row {bad[0]}"
         raise DegenerateInputError(
-            f"solve_yule_walker: zero-lag autocorrelation must be real positive, got {r0}")
+            f"solve_yule_walker: zero-lag autocorrelation must be real positive, "
+            f"got {r0[bad[0]]}{where}")
 
-    col = autocorr[:order]
-    toep = scipy.linalg.toeplitz(col, col.conj())
-    rhs = autocorr[1:order + 1]
+    # Hermitian Toeplitz stack: T[i, j] = R(i - j), conj(R(j - i)) above the diagonal.
+    lags = np.arange(order)
+    toep = table[:, np.abs(lags[:, None] - lags[None, :])]
+    upper = lags[:, None] < lags[None, :]
+    toep[:, upper] = toep[:, upper].conj()
+    rhs = table[:, 1:order + 1]
 
-    condition = float(np.linalg.cond(toep))
-    if not np.isfinite(condition) or condition > RIDGE_CONDITION_LIMIT:
-        toep = toep + ridge * r0.real * np.eye(order)
-    phi = np.linalg.solve(toep, rhs)
+    condition = np.linalg.cond(toep)
+    ridged = ~np.isfinite(condition) | (condition > RIDGE_CONDITION_LIMIT)
+    if ridged.any():
+        toep[ridged] = toep[ridged] + (ridge * r0[ridged].real)[:, None, None] * np.eye(order)
+    phi = np.linalg.solve(toep, rhs[:, :, None])[:, :, 0]
 
-    noise_var = float((r0 - np.dot(phi, autocorr[1:order + 1].conj())).real)
-    return YuleWalkerSolution(phi=phi, noise_variance=max(noise_var, 0.0),
+    noise_var = (r0 - (phi[:, None, :] @ rhs.conj()[:, :, None])[:, 0, 0]).real
+    noise_var = np.where(noise_var < 0, 0.0, noise_var)
+    if single:
+        return YuleWalkerSolution(phi=phi[0], noise_variance=float(noise_var[0]),
+                                  condition_estimate=float(condition[0]))
+    return YuleWalkerSolution(phi=phi, noise_variance=noise_var,
                               condition_estimate=condition)

@@ -244,6 +244,27 @@ def test_cir_csv_loader_rejects_holes(tmp_path):
         load_cir_csv(path)
 
 
+def test_cir_csv_loader_one_based_grid(tmp_path):
+    path = tmp_path / "cir.csv"
+    write_csv(path, ["n", "k", "h_re", "h_im"],
+              [[n + 1, k + 1, float(n), float(k)] for n in range(3) for k in range(2)])
+    traj = load_cir_csv(path)
+    assert traj.h.shape == (3, 2)
+    assert np.array_equal(traj.h, np.arange(3)[:, None] + 1j * np.arange(2))
+
+
+@pytest.mark.parametrize("body", ["0,0,1.0,0.0\n1,0,abc,0.0", "0,0,1.0,0.0\n1,0,0.5",
+                                  "0,0,1.0\n1,0,0.5"],
+                         ids=["malformed-cell", "short-row", "every-row-short"])
+def test_cir_csv_loader_bad_rows_are_config_errors(tmp_path, body):
+    path = tmp_path / "cir.csv"
+    path.write_text(f"n,k,h_re,h_im\n{body}\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_cir_csv(path)
+    assert run_cli(["run", "--override", f"run.cir_csv={path}", "--seed", "0",
+                    "--out", tmp_path / "out", "--algos", "asrmae"]) == 2
+
+
 def write_walk_cir(path, n=240, k=6):
     """A recorded random-walk channel of n steps and k taps."""
     rng = np.random.default_rng(2)

@@ -229,16 +229,19 @@ def test_predict_transition_clamps_unstable():
     assert np.angle(model.phi[0, 0]) == pytest.approx(np.pi / 2)
 
 
-def test_predict_transition_order1_matches_solver():
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_predict_transition_matches_solver(order):
     from subtrack.linalg_spectral import solve_yule_walker
     rng = np.random.default_rng(3)
-    table = np.empty((4, 2), dtype=complex)
-    table[:, 0] = rng.uniform(0.5, 2.0, size=4)
-    table[:, 1] = table[:, 0] * rng.uniform(-0.9, 0.9, size=4)
-    model = predict_transition(table, 1, 4, np.eye(4))
+    z = rng.standard_normal((300, 4)) + 1j * rng.standard_normal((300, 4))
+    acc = RecursiveAutocorr(4, order)
+    for row in z:
+        acc.update(row)
+    model = predict_transition(acc.table, order, 4, np.eye(4))
     for i in range(4):
-        want = solve_yule_walker(table[i], 1).phi
-        assert_allclose(model.phi[i], want, atol=1e-14)
+        want = solve_yule_walker(acc.table[i], order).phi
+        assert np.all(np.abs(want) < 1.0)  # no stability clamp
+        assert np.array_equal(model.phi[i], want)
 
 
 def test_predict_transition_degenerate_keeps_previous():

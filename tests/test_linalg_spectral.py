@@ -163,3 +163,43 @@ def test_yule_walker_noise_clamped_at_zero():
     # An inconsistent sequence can push the fitted innovation negative.
     sol = solve_yule_walker(np.array([1.0, 1.2]), 1)
     assert sol.noise_variance == 0.0
+
+
+def random_autocorr_table(rng, rows, order, n=400):
+    """Lag 0..order autocorrelations of ``rows`` random-walk sequences."""
+    z = np.cumsum(rng.standard_normal((n, rows)) + 1j * rng.standard_normal((n, rows)),
+                  axis=0)
+    return np.stack([np.sum(z[m:] * z[:n - m].conj(), axis=0) / n
+                     for m in range(order + 1)], axis=1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_yule_walker_table_matches_row_loop(order):
+    table = random_autocorr_table(np.random.default_rng(order), 6, order)
+    # Constant autocorrelation: a singular Toeplitz system at p >= 2.
+    table[2] = table[2, 0]
+    sol = solve_yule_walker(table, order)
+    rows = [solve_yule_walker(row, order) for row in table]
+    assert sol.phi.shape == (6, order)
+    assert sol.noise_variance.shape == sol.condition_estimate.shape == (6,)
+    assert np.array_equal(sol.phi, np.stack([r.phi for r in rows]))
+    assert np.array_equal(sol.noise_variance, [r.noise_variance for r in rows])
+    assert np.array_equal(sol.condition_estimate, [r.condition_estimate for r in rows])
+    for r in rows:
+        assert r.phi.shape == (order,)
+        assert type(r.noise_variance) is float and type(r.condition_estimate) is float
+    ridged = ~(sol.condition_estimate <= 1e12)
+    assert ridged.tolist() == [order >= 2 and i == 2 for i in range(6)]
+    assert np.isfinite(sol.phi).all()
+
+
+def test_yule_walker_table_names_degenerate_row():
+    table = random_autocorr_table(np.random.default_rng(4), 5, 2)
+    table[3, 0] = 0.0
+    with pytest.raises(DegenerateInputError, match="row 3"):
+        solve_yule_walker(table, 2)
+
+
+def test_yule_walker_rejects_short_table():
+    with pytest.raises(InvalidInputError):
+        solve_yule_walker(np.ones((4, 2), dtype=complex), 2)

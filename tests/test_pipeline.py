@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,27 @@ def test_flag_degeneracy_bit_identical():
     assert np.array_equal(base.xi, flagged.xi)
     assert np.array_equal(base.err_db, flagged.err_db)
     assert base.mean_err_db == flagged.mean_err_db
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_higher_order_forward_tracking(order):
+    # Smoothing stays off: the p >= 2 backward pass still overflows.
+    _, _, obs, _ = make_observations(seed=3)
+    cfg = TrackerConfig(order=order, rank=6, n_train=500, fb_smoothing=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = run_asrmae(obs, cfg)
+        refit = run_dfb_asrmae(obs, cfg)
+        flags_off = run_dfb_asrmae(obs, dataclasses.replace(
+            cfg, dynamic_phi=False, correlated_noise=False))
+    for res in (base, refit):
+        assert res.order == order
+        assert np.isfinite(res.h_tracked).all() and np.isfinite(res.xi).all()
+        assert np.isfinite(res.err_db).all() and np.isfinite(res.mean_err_db)
+    assert np.array_equal(base.h_tracked, flags_off.h_tracked)
+    assert np.array_equal(base.xi, flags_off.xi)
+    assert np.array_equal(base.err_db, flags_off.err_db)
+    assert base.mean_err_db == flags_off.mean_err_db
 
 
 def test_noiseless_static_channel_in_model_class():
