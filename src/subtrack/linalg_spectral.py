@@ -119,10 +119,9 @@ def solve_yule_walker(autocorr: np.ndarray, order: int, ridge: float = 1e-8) -> 
     bad = np.flatnonzero(~np.isfinite(r0) | (r0.real <= 0)
                          | (np.abs(r0.imag) > 1e-8 * np.abs(r0.real)))
     if bad.size:
-        where = "" if single else f" in row {bad[0]}"
         raise DegenerateInputError(
             f"solve_yule_walker: zero-lag autocorrelation must be real positive, "
-            f"got {r0[bad[0]]}{where}")
+            f"got {r0[bad[0]]} in row {bad[0]}")
 
     # Hermitian Toeplitz stack: T[i, j] = R(i - j), conj(R(j - i)) above the diagonal.
     lags = np.arange(order)
@@ -137,8 +136,7 @@ def solve_yule_walker(autocorr: np.ndarray, order: int, ridge: float = 1e-8) -> 
         toep[ridged] = toep[ridged] + (ridge * r0[ridged].real)[:, None, None] * np.eye(order)
     phi = np.linalg.solve(toep, rhs[:, :, None])[:, :, 0]
 
-    noise_var = (r0 - (phi[:, None, :] @ rhs.conj()[:, :, None])[:, 0, 0]).real
-    noise_var = np.where(noise_var < 0, 0.0, noise_var)
+    noise_var = np.maximum((r0 - (phi[:, None, :] @ rhs.conj()[:, :, None])[:, 0, 0]).real, 0.0)
     if single:
         return YuleWalkerSolution(phi=phi[0], noise_variance=float(noise_var[0]),
                                   condition_estimate=float(condition[0]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from subtrack.errors import DegenerateInputError, InvalidInputError
@@ -173,6 +174,18 @@ def random_autocorr_table(rng, rows, order, n=400):
                      for m in range(order + 1)], axis=1)
 
 
+def reference_yule_walker(acf, order, ridge=1e-8):
+    """The per-row solve the stacked one replaced: (phi, noise, condition)."""
+    col = acf[:order]
+    toep = scipy.linalg.toeplitz(col, col.conj())
+    condition = float(np.linalg.cond(toep))
+    if not np.isfinite(condition) or condition > 1e12:
+        toep = toep + ridge * acf[0].real * np.eye(order)
+    phi = np.linalg.solve(toep, acf[1:order + 1])
+    noise = float((acf[0] - np.dot(phi, acf[1:order + 1].conj())).real)
+    return phi, max(noise, 0.0), condition
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_yule_walker_table_matches_row_loop(order):
     table = random_autocorr_table(np.random.default_rng(order), 6, order)
@@ -185,6 +198,10 @@ def test_yule_walker_table_matches_row_loop(order):
     assert np.array_equal(sol.phi, np.stack([r.phi for r in rows]))
     assert np.array_equal(sol.noise_variance, [r.noise_variance for r in rows])
     assert np.array_equal(sol.condition_estimate, [r.condition_estimate for r in rows])
+    for i, row in enumerate(table):
+        phi, noise, condition = reference_yule_walker(row, order)
+        assert np.array_equal(sol.phi[i], phi)
+        assert sol.noise_variance[i] == noise and sol.condition_estimate[i] == condition
     for r in rows:
         assert r.phi.shape == (order,)
         assert type(r.noise_variance) is float and type(r.condition_estimate) is float
