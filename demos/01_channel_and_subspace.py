@@ -37,7 +37,7 @@ pulse = PulseShape.raised_cosine(span_symbols=10, rolloff=0.3, width_symbols=2.5
 cfg = SimConfig(n_taps=n_taps, n_steps=n_steps, n_train=1000, r_true=6, seed=7)
 traj = synth_physical_channel(PathSet(amplitudes=amplitudes, delays=delays), pulse, cfg)
 
-rho = cross_path_coherence(traj.h, kind="taps")
+rho = cross_path_coherence(traj.h)
 print("Physical channel: 3 arrivals spread over a", pulse.span_symbols,
       "tap pulse footprint")
 print("  |coherence| between taps 8..11 (one arrival's footprint):")
@@ -67,9 +67,9 @@ half = lcfg.n_steps // 2
 train_cov = ltraj.h[:half].T @ ltraj.h[:half].conj() / half
 basis = truncate_subspace(evd_hermitian(0.5 * (train_cov + train_cov.conj().T)), 12)
 components = project_components(ltraj.h[half:], basis)
-rho_z = cross_path_coherence(components, kind="components")
+rho_z = cross_path_coherence(components)
 off = np.abs(rho_z.rho[~np.eye(12, dtype=bool)])
-rho_h = cross_path_coherence(ltraj.h[half:], kind="taps")
+rho_h = cross_path_coherence(ltraj.h[half:])
 off_h = np.abs(rho_h.rho[~np.eye(64, dtype=bool)])
 print("  tap coherence (held-out half):        max off-diagonal "
       f"{off_h.max():.3f}, median {np.median(off_h):.3f}")

@@ -11,8 +11,8 @@ from .channel_sim import (ChannelTrajectory, ObservationSequence, PathSet,
                           generate_observations, latent_trajectory,
                           noise_variance_for_snr, symbol_windows,
                           synth_latent_channel, synth_physical_channel)
-from .coarse_est import (CoarseModel, LmsConfig, autocorrelation_table,
-                         build_initial_model, estimate_channel_covariance,
+from .coarse_est import (CoarseModel, autocorrelation_table, build_initial_model,
+                         estimate_channel_covariance,
                          estimate_component_autocorrelation,
                          estimate_process_noise_correlated, fit_coarse_model,
                          lms_residuals, lms_track, project_components)
@@ -20,9 +20,8 @@ from .errors import (ConfigError, DegenerateInputError, DivergenceError,
                      FusionError, InvalidInputError, NumericError,
                      SingularModelError, SubtrackError, TrackerStallError,
                      UndefinedMetricError)
-from .kalman_core import (ArTransitionModel, BackwardModel, RecursiveAutocorr,
-                          backward_model, fb_combine, kf_predict, kf_update,
-                          predict_transition)
+from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
+                          fb_combine, kf_predict, kf_update, predict_transition)
 from .linalg_spectral import (EigenDecomposition, YuleWalkerSolution,
                               evd_hermitian, solve_yule_walker,
                               truncate_subspace)

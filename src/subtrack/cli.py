@@ -178,8 +178,8 @@ def coherence_analysis(cfg: ExperimentConfig, out_dir) -> dict:
     started = time.time()
     traj, cov = _first_seed_channel(cfg)
     basis = truncate_subspace(evd_hermitian(cov), min(cfg.tracker.rank, traj.n_taps))
-    taps = cross_path_coherence(traj.h, kind="taps")
-    comps = cross_path_coherence(traj.h @ basis.conj(), kind="components")
+    taps = cross_path_coherence(traj.h)
+    comps = cross_path_coherence(traj.h @ basis.conj())
     return _write_outputs(cfg, out_dir, started,
                           {"coherence_taps.csv": _coherence_table(taps),
                            "coherence_components.csv": _coherence_table(comps)})
@@ -202,7 +202,7 @@ def _write_outputs(cfg, out_dir, started, tables, extra=None) -> dict:
     manifest = {
         "tool": "subtrack",
         "version": __version__,
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "seeds": list(cfg.run.seeds),
         "wall_clock_s": time.time() - started,
         "created_unix": time.time(),

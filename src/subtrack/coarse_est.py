@@ -8,7 +8,6 @@ residuals).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,65 +19,41 @@ LMS_DIVERGENCE_FACTOR = 1e6
 
 
 @dataclass
-class LmsConfig:
-    """Step size and initial state for the LMS channel estimator.
-
-    ``n_taps`` is optional; when nonzero it is cross-checked against the
-    symbol-window width at run time.
-    """
-
-    mu: float = 0.005
-    n_taps: int = 0
-    initial: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise InvalidInputError(f"LmsConfig: mu must be positive, got {self.mu}")
-
-
-@dataclass
 class CoarseModel:
     """Everything the training phase produces for the trackers."""
 
-    h_lms: np.ndarray          # (n_train, K) LMS channel estimates
     channel_cov: np.ndarray    # (K, K) Hermitian sample covariance
     basis: np.ndarray          # (K, r) dominant-subspace basis
     eigenvalues: np.ndarray    # (K,) descending covariance eigenvalues
-    z_lms: np.ndarray          # (window, r) components over the post-warmup window
     autocorr: np.ndarray       # (r, p+1) component autocorrelation table
     model: ArTransitionModel   # transition model with diagonal noise
     noise_diag: np.ndarray     # (r, r) diagonal process-noise covariance
     noise_full: np.ndarray     # (r, r) correlated process-noise covariance
 
 
-def lms_track(d: np.ndarray, r_seq: np.ndarray, cfg: LmsConfig) -> np.ndarray:
+def lms_track(d: np.ndarray, r_seq: np.ndarray, mu: float) -> np.ndarray:
     """Run the LMS recursion over symbol windows ``d`` and observations ``r_seq``.
 
     The error is ``e(n) = r(n) - h^H(n) d(n)`` and the update
     ``h(n+1) = h(n) + 2 mu conj(e(n)) d(n)``, i.e. a stochastic descent step
     on ``|e|^2`` that reduces to the plain real-signal recursion for real
-    data.  Returns the post-update estimate sequence, one row per step.
+    data.  The recursion starts from zero.  Returns the post-update estimate
+    sequence, one row per step.
     """
+    if not mu > 0:
+        raise InvalidInputError(f"lms_track: mu must be positive, got {mu}")
     d = np.asarray(d, dtype=np.complex128)
     r_seq = np.asarray(r_seq, dtype=np.complex128).reshape(-1)
     n_steps, n_taps = d.shape
     if r_seq.size != n_steps:
         raise InvalidInputError(
             f"lms_track: {r_seq.size} observations for {n_steps} symbol windows")
-    if cfg.n_taps and cfg.n_taps != n_taps:
-        raise InvalidInputError(
-            f"lms_track: config says {cfg.n_taps} taps, windows have {n_taps}")
-
-    h = np.zeros(n_taps, dtype=np.complex128)
-    if cfg.initial is not None:
-        h = np.asarray(cfg.initial, dtype=np.complex128).copy()
-        if h.shape != (n_taps,):
-            raise InvalidInputError(f"lms_track: initial estimate shape {h.shape} != ({n_taps},)")
 
     scale = float(np.sqrt(np.mean(np.abs(r_seq) ** 2)))
     limit = LMS_DIVERGENCE_FACTOR * max(scale, 1.0)
-    two_mu = 2.0 * cfg.mu
+    two_mu = 2.0 * mu
 
+    h = np.zeros(n_taps, dtype=np.complex128)
     out = np.empty((n_steps, n_taps), dtype=np.complex128)
     for n in range(n_steps):
         e = r_seq[n] - np.vdot(h, d[n])
@@ -86,16 +61,16 @@ def lms_track(d: np.ndarray, r_seq: np.ndarray, cfg: LmsConfig) -> np.ndarray:
         out[n] = h
         if not np.isfinite(e) or np.abs(h).max() > limit:
             raise DivergenceError(
-                f"lms_track: estimate diverged at step {n} with mu={cfg.mu}")
+                f"lms_track: estimate diverged at step {n} with mu={mu}")
     return out
 
 
-def lms_residuals(d: np.ndarray, r_seq: np.ndarray, h_seq: np.ndarray,
-                  initial: Optional[np.ndarray] = None) -> np.ndarray:
-    """A-priori errors ``e(n) = r(n) - h^H(n-1) d(n)`` for a tracked sequence."""
+def lms_residuals(d: np.ndarray, r_seq: np.ndarray, h_seq: np.ndarray) -> np.ndarray:
+    """A-priori errors ``e(n) = r(n) - h^H(n-1) d(n)`` for a sequence tracked
+    from ``h(-1) = 0``."""
     d = np.asarray(d, dtype=np.complex128)
     prev = np.empty_like(h_seq)
-    prev[0] = 0.0 if initial is None else initial
+    prev[0] = 0.0
     prev[1:] = h_seq[:-1]
     return np.asarray(r_seq).reshape(-1) - np.einsum("nk,nk->n", prev.conj(), d)
 
@@ -193,28 +168,17 @@ def lms_warmup_length(mu: float, n_train: int) -> int:
     return min(n_train // 4, int(round(1.25 / mu)))
 
 
-def fit_coarse_model(d: np.ndarray, r_seq: np.ndarray, n_train: int, rank: int,
-                     order: int, lms_cfg: LmsConfig,
-                     h_lms: Optional[np.ndarray] = None,
-                     warmup: Optional[int] = None) -> CoarseModel:
-    """Run the whole training chain on the first ``n_train`` steps.
+def fit_coarse_model(h_lms: np.ndarray, n_train: int, rank: int, order: int,
+                     mu: float) -> CoarseModel:
+    """Run the training chain on the first ``n_train`` rows of the LMS
+    estimates ``h_lms`` (tracked with step size ``mu``).
 
-    ``h_lms`` can pass in an already-computed LMS sequence (at least
-    ``n_train`` rows) to avoid re-running the recursion.  The first
-    ``warmup`` steps (default: the LMS convergence transient) are excluded
-    from every statistic; fitting them would inflate the process-noise
+    The LMS convergence transient, :func:`lms_warmup_length` steps, is
+    excluded from every statistic; fitting it would inflate the process-noise
     estimate with transient energy.
     """
-    if h_lms is None:
-        h_lms = lms_track(d[:n_train], r_seq[:n_train], lms_cfg)
-    else:
-        h_lms = np.asarray(h_lms, dtype=np.complex128)[:n_train]
-    if warmup is None:
-        warmup = lms_warmup_length(lms_cfg.mu, n_train)
-    if not 0 <= warmup < n_train:
-        raise InvalidInputError(
-            f"fit_coarse_model: need 0 <= warmup < n_train, got {warmup}, {n_train}")
-    window = h_lms[warmup:]
+    warmup = lms_warmup_length(mu, n_train)
+    window = np.asarray(h_lms, dtype=np.complex128)[warmup:n_train]
     n_window = n_train - warmup
     cov = estimate_channel_covariance(window, n_window)
     dec = evd_hermitian(cov)
@@ -223,6 +187,6 @@ def fit_coarse_model(d: np.ndarray, r_seq: np.ndarray, n_train: int, rank: int,
     table = autocorrelation_table(z_lms, order, n_window)
     model, noise_diag = build_initial_model(table, order, rank)
     noise_full = estimate_process_noise_correlated(z_lms, model.phi, n_window)
-    return CoarseModel(h_lms=h_lms, channel_cov=cov, basis=basis,
-                       eigenvalues=dec.eigenvalues, z_lms=z_lms, autocorr=table,
-                       model=model, noise_diag=noise_diag, noise_full=noise_full)
+    return CoarseModel(channel_cov=cov, basis=basis, eigenvalues=dec.eigenvalues,
+                       autocorr=table, model=model, noise_diag=noise_diag,
+                       noise_full=noise_full)

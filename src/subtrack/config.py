@@ -56,9 +56,6 @@ class ExperimentConfig:
     tracker: TrackerConfig
     run: RunConfig
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
@@ -181,6 +178,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[list] = None) ->
         full, raw = item.split("=", 1)
         if "." not in full:
             raise ConfigError(f"override must be section.key=value, got {item!r}")
-        section, key = full.split(".", 1)
-        sections[section][key] = _convert(section, key.strip(), raw)
+        section, key = (part.strip() for part in full.split(".", 1))
+        sections[section][key] = _convert(section, key, raw)
     return _build(sections)

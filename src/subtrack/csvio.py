@@ -70,14 +70,18 @@ def file_digest(path) -> str:
     return hasher.hexdigest()
 
 
-def load_cir_csv(path, t_tap: float = 1.0, t_snapshot: float = 1.0) -> ChannelTrajectory:
+def load_cir_csv(path) -> ChannelTrajectory:
     """Load a recorded tap trajectory from columns (n, k, h_re, h_im).
 
     Step and tap indices must form a complete 0-based (or 1-based) grid.  The
     numeric rows are parsed by numpy; a bad header, a non-numeric cell or a
-    row without exactly four cells is a ``ConfigError``.
+    row without exactly four cells is a ``ConfigError``, and so is a file that
+    cannot be read.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"load_cir_csv: cannot read {path}: {exc}") from None
     header = next(csv.reader(lines[:1]), [])
     expected = ["n", "k", "h_re", "h_im"]
     if [h.strip() for h in header] != expected:
@@ -106,4 +110,4 @@ def load_cir_csv(path, t_tap: float = 1.0, t_snapshot: float = 1.0) -> ChannelTr
     h[n_idx, k_idx] = data[:, 2] + 1j * data[:, 3]
     if np.isnan(h.real).any():
         raise ConfigError("load_cir_csv: grid has missing (n, k) entries")
-    return ChannelTrajectory(h=h, t_tap=t_tap, t_snapshot=t_snapshot)
+    return ChannelTrajectory(h=h, t_tap=1.0, t_snapshot=1.0)

@@ -5,11 +5,12 @@ length r*p, evolving under a companion-form transition matrix whose first
 block row holds the per-lag diagonal coefficient blocks.  This module supplies
 the forward update/prediction steps, the running autocorrelation table that
 feeds per-step re-fits of the transition model (one stacked Yule-Walker solve
-over all components per step), the inverted (backward-time)
-model, and the two-filter combination of forward and backward filtered
+over all components per step), the reversed-time ``(transition, noise)`` pair
+of a model, and the two-filter combination of forward and backward filtered
 estimates, one step at a time (:func:`fb_combine`) or batched (:func:`fb_fuse`).
-The update, prediction and combination kernels take and return plain
-``(mean, cov)`` arrays.
+Every kernel takes and returns plain arrays: the update, prediction and
+combination kernels work on ``(mean, cov)``, and the prediction takes its
+transition matrix and stacked process noise directly.
 """
 
 from dataclasses import dataclass, field
@@ -71,21 +72,6 @@ class ArTransitionModel:
     def order(self) -> int:
         return self.phi.shape[1]
 
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        return self.companion
-
-    def with_noise(self, noise_cov: np.ndarray) -> "ArTransitionModel":
-        return ArTransitionModel(phi=self.phi.copy(), noise_cov=noise_cov)
-
-
-@dataclass
-class BackwardModel:
-    """Reversed-time model: inverse transition and its mapped process noise."""
-
-    transition_matrix: np.ndarray   # (rp, rp) inverse of the companion matrix
-    process_noise_star: np.ndarray  # (rp, rp) Phi_b R_star Phi_b^H
-
 
 def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: float,
               r_n: complex):
@@ -110,16 +96,15 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: flo
     return mean, cov, innovation, g
 
 
-def kf_predict(mean: np.ndarray, cov: np.ndarray, model):
-    """Propagate a filtered ``(mean, cov)`` one step through a transition model.
-
-    ``model`` needs ``transition_matrix`` and ``process_noise_star``
-    attributes; both the companion-form forward model and the inverted
-    backward model qualify.
+def kf_predict(mean: np.ndarray, cov: np.ndarray, trans: np.ndarray,
+               noise: np.ndarray):
+    """Propagate a filtered ``(mean, cov)`` one step through the (rp, rp)
+    transition matrix ``trans`` with stacked process noise ``noise``: a
+    model's ``companion`` and ``process_noise_star``, or the pair
+    :func:`backward_model` returns.
     """
-    trans = model.transition_matrix
     mean = trans @ mean
-    cov = trans @ cov @ trans.conj().T + model.process_noise_star
+    cov = trans @ cov @ trans.conj().T + noise
     cov = 0.5 * (cov + cov.conj().T)
     return mean, cov
 
@@ -192,13 +177,13 @@ def predict_transition(table: np.ndarray, order: int, rank: int,
     return ArTransitionModel(phi=phi, noise_cov=noise_cov)
 
 
-def backward_model(model: ArTransitionModel) -> BackwardModel:
+def backward_model(model: ArTransitionModel):
     """Invert a transition model for reversed-time filtering.
 
-    Requires the companion matrix to be invertible, i.e. no component's
-    highest-lag coefficient may vanish.  The backward process noise is the
-    stacked forward noise mapped through the inverse transition,
-    symmetrized.
+    Returns ``(trans, noise)``: the inverse of the companion matrix and the
+    stacked forward noise mapped through it, symmetrized.  Requires the
+    companion matrix to be invertible, i.e. no component's highest-lag
+    coefficient may vanish.
     """
     tail = model.phi[:, -1]
     bad = np.flatnonzero(np.abs(tail) <= 1e-12)
@@ -213,8 +198,7 @@ def backward_model(model: ArTransitionModel) -> BackwardModel:
     else:
         trans = np.linalg.inv(model.companion)
         noise = trans @ model.process_noise_star @ trans.conj().T
-    noise = 0.5 * (noise + noise.conj().T)
-    return BackwardModel(transition_matrix=trans, process_noise_star=noise)
+    return trans, 0.5 * (noise + noise.conj().T)
 
 
 def _hermitian_inverse_apply(cov: np.ndarray, targets: list) -> Optional[list]:

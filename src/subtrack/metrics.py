@@ -19,7 +19,6 @@ class CoherenceMatrix:
     """
 
     rho: np.ndarray
-    kind: str
     defined: np.ndarray
 
 
@@ -55,7 +54,7 @@ def normalized_prediction_error(xi: np.ndarray, r_seq: np.ndarray,
     return per_step_db, float(mean_db)
 
 
-def cross_path_coherence(series: np.ndarray, kind: str = "taps") -> CoherenceMatrix:
+def cross_path_coherence(series: np.ndarray) -> CoherenceMatrix:
     """Coherence between the columns of an (N, m) time-series matrix.
 
     ``rho[j, k] = sum_n conj(x_j) x_k / sqrt(sum |x_j|^2 sum |x_k|^2)``;
@@ -73,7 +72,7 @@ def cross_path_coherence(series: np.ndarray, kind: str = "taps") -> CoherenceMat
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), np.nan)
     np.fill_diagonal(rho, 1.0)
-    return CoherenceMatrix(rho=rho, kind=kind, defined=defined)
+    return CoherenceMatrix(rho=rho, defined=defined)
 
 
 def normalized_spectrum(eigenvalues: np.ndarray) -> np.ndarray:

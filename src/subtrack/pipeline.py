@@ -4,9 +4,16 @@ and the dynamic forward-backward variant, plus their derived metrics.
 All three runners consume an :class:`~subtrack.channel_sim.ObservationSequence`
 and a :class:`TrackerConfig` and return a :class:`TrackResult`.  The
 forward-only tracker and the forward-backward tracker share one engine, so
-disabling every enhancement flag reproduces the baseline bit for bit; within
-:func:`shared_front_end` the runners share one LMS pass, one coarse fit per
-rank and one PAST-d pass for every rank.
+disabling every enhancement flag reproduces the baseline bit for bit.
+
+The front end has one path: one LMS pass over the whole record, the coarse
+fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
+estimates.  Within :func:`shared_front_end` the runners share one LMS pass,
+one coarse fit per rank and one PAST-d pass for every rank.  The forward
+filter predicts through each step's model (``companion``,
+``process_noise_star``); the reversed-time filter through the
+``(transition, noise)`` pair :func:`~subtrack.kalman_core.backward_model`
+inverts from it.
 """
 
 import contextlib
@@ -17,12 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .channel_sim import ObservationSequence
-from .coarse_est import LmsConfig, fit_coarse_model, lms_residuals, lms_track
+from .coarse_est import fit_coarse_model, lms_residuals, lms_track
 from .errors import InvalidInputError
 # fb_combine and eigenvalue_spectrum are unused here but stay bound: the
 # benchmark's tracer wraps them.
-from .kalman_core import (RecursiveAutocorr, backward_model, fb_combine,
-                          fb_fuse, kf_predict, kf_update, predict_transition)
+from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
+                          fb_combine, fb_fuse, kf_predict, kf_update,
+                          predict_transition)
 from .metrics import (DEFAULT_FLOOR_DB, CoherenceMatrix, cross_path_coherence,
                       eigenvalue_spectrum, normalized_prediction_error,
                       normalized_spectrum)
@@ -40,7 +48,8 @@ class TrackerConfig:
     observation-noise variance the filter assumes (default: take it from the
     simulator, estimating from LMS residuals only when the simulator reports
     none).  The three flags select the enhancements of the forward-backward
-    tracker; the baseline forces them all off.
+    tracker; the baseline forces them all off.  ``mu`` and a set ``sigma_v2``
+    must be positive and finite; ``reorth_period`` 0 never re-orthonormalises.
     """
 
     order: int = 1
@@ -64,6 +73,15 @@ class TrackerConfig:
             raise InvalidInputError(f"TrackerConfig: n_train must be >= 1, got {self.n_train}")
         if not 0 < self.beta <= 1:
             raise InvalidInputError(f"TrackerConfig: beta must be in (0, 1], got {self.beta}")
+        if not 0 < self.mu < np.inf:
+            raise InvalidInputError(f"TrackerConfig: mu must be positive, got {self.mu}")
+        if self.sigma_v2 is not None and not 0 < self.sigma_v2 < np.inf:
+            raise InvalidInputError(
+                f"TrackerConfig: sigma_v2 must be positive, got {self.sigma_v2}")
+        if self.reorth_period < 0:
+            raise InvalidInputError(
+                f"TrackerConfig: reorth_period must be >= 0 (0: never), "
+                f"got {self.reorth_period}")
 
 
 @dataclass
@@ -135,8 +153,7 @@ def _shared(obs: ObservationSequence, key: tuple, build, reuse=lambda held: True
 
 
 def _lms(obs: ObservationSequence, cfg: TrackerConfig) -> np.ndarray:
-    lms_cfg = LmsConfig(mu=cfg.mu, n_taps=obs.d.shape[1])
-    return _shared(obs, ("lms", cfg.mu), lambda: lms_track(obs.d, obs.r, lms_cfg))
+    return _shared(obs, ("lms", cfg.mu), lambda: lms_track(obs.d, obs.r, cfg.mu))
 
 
 def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
@@ -150,9 +167,8 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
     """
     h_lms = _lms(obs, cfg)
     coarse = _shared(obs, ("coarse", cfg.mu, cfg.n_train, cfg.rank, cfg.order),
-                     lambda: fit_coarse_model(obs.d, obs.r, cfg.n_train, cfg.rank,
-                                              cfg.order, LmsConfig(mu=cfg.mu),
-                                              h_lms=h_lms))
+                     lambda: fit_coarse_model(h_lms, cfg.n_train, cfg.rank,
+                                              cfg.order, cfg.mu))
 
     def build_pastd():
         powers = np.maximum(coarse.eigenvalues[:cfg.rank],
@@ -185,7 +201,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
 
     h_lms, coarse, q_seq = _front_end(obs, cfg)
     noise_cov = coarse.noise_full if correlated_noise else coarse.noise_diag
-    model = coarse.model.with_noise(noise_cov)
+    model = ArTransitionModel(coarse.model.phi, noise_cov)
     sigma = _filter_noise_variance(cfg, obs, h_lms)
 
     rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
@@ -207,7 +223,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         if fb_smoothing:
             covs_f[n] = cov
             prediction_models.append(model)
-        mean, cov = kf_predict(mean, cov, model)
+        mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
         phi_traj[n] = np.abs(model.phi[:, 0])
         if dynamic_phi:
             running.update(mean[:rank])
@@ -220,7 +236,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         covs_b = np.empty((n_steps, dim, dim), dtype=np.complex128)
         mean = np.zeros(dim, dtype=np.complex128)
         cov = BACKWARD_PRIOR_SCALE * np.eye(dim, dtype=np.complex128)
-        forward = reverse = None  # the last model inverted, and its inverse
+        forward = reverse = None  # the last model inverted, and its (trans, noise)
         for n in range(n_steps - 1, -1, -1):
             mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
             means_b[n] = mean
@@ -229,7 +245,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
                 if prediction_models[n - 1] is not forward:
                     forward = prediction_models[n - 1]
                     reverse = backward_model(forward)
-                mean, cov = kf_predict(mean, cov, reverse)
+                mean, cov = kf_predict(mean, cov, *reverse)
 
         fused = fb_fuse(means_f, covs_f, means_b, covs_b)
         z_out = fused[:, :rank]
@@ -245,8 +261,8 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         algo=algo, h_tracked=h_out, xi=xi_out, err_db=err_db, mean_err_db=mean_db,
         rank=rank, order=order, n_train=n_train, phi_traj=phi_traj,
         noise_cov=noise_cov, eigen_spectrum=normalized_spectrum(coarse.eigenvalues),
-        coherence_taps=cross_path_coherence(h_out[n_train:], kind="taps"),
-        coherence_components=cross_path_coherence(z_out[n_train:], kind="components"))
+        coherence_taps=cross_path_coherence(h_out[n_train:]),
+        coherence_components=cross_path_coherence(z_out[n_train:]))
 
 
 def run_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
@@ -284,7 +300,7 @@ def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     return TrackResult(
         algo="lms", h_tracked=h_lms, xi=xi, err_db=err_db, mean_err_db=mean_db,
         rank=cfg.rank, order=cfg.order, n_train=cfg.n_train,
-        coherence_taps=cross_path_coherence(h_lms[cfg.n_train:], kind="taps"))
+        coherence_taps=cross_path_coherence(h_lms[cfg.n_train:]))
 
 
 ALGORITHMS = {"lms": run_lms, "asrmae": run_asrmae, "dfb_asrmae": run_dfb_asrmae}

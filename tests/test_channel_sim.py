@@ -81,7 +81,7 @@ def test_physical_cross_tap_coherence():
     paths = PathSet(amplitudes=amp[np.newaxis, :],
                     delays=np.full((1, cfg.n_steps), 10.4))
     traj = synth_physical_channel(paths, PulseShape.raised_cosine(span_symbols=8), cfg)
-    rho = cross_path_coherence(traj.h, kind="taps").rho
+    rho = cross_path_coherence(traj.h).rho
     assert abs(rho[10, 11]) > 0.5  # adjacent taps under one path stay coherent
 
 

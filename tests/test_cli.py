@@ -445,3 +445,45 @@ def test_coherence_table_matches_reference_loop():
     assert ([[format_value(v) for v in row] for row in rows]
             == [[format_value(v) for v in row] for row in reference])
     assert sum(row[4] for row in rows) == 9
+
+
+# Tracker values their field's type accepts but the tracker cannot use.
+OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.mu=inf",
+                "tracker.sigma_v2=-1", "tracker.sigma_v2=0", "tracker.sigma_v2=nan",
+                "tracker.sigma_v2=inf", "tracker.reorth_period=-1"]
+
+
+@pytest.mark.parametrize("override", OUT_OF_RANGE)
+def test_out_of_range_tracker_value_exits_2(tmp_path, override):
+    key = override.split("=")[0].split(".")[1]
+    with pytest.raises(ConfigError, match=key):
+        load_config(None, [override])
+    out = tmp_path / "out"
+    assert run_cli(["run", *SMALL, "--override", override, "--seed", "0",
+                    "--out", out]) == 2
+    assert not out.exists()
+
+
+def test_reorth_period_zero_still_means_never():
+    assert load_config(None, ["tracker.reorth_period=0"]).tracker.reorth_period == 0
+
+
+@pytest.mark.parametrize("command", ["run", "coherence"])
+@pytest.mark.parametrize("content", [None, b"n,k,h_re,h_im\n0,0,\xff,0\n"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_cir_csv_exits_2(tmp_path, capsys, command, content):
+    path = tmp_path / "cir.csv"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli([command, "--override", f"run.cir_csv={path}", "--seed", "0",
+                    "--out", out]) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_override_section_and_key_are_stripped():
+    assert load_config(None, ["tracker.rank = 5"]).tracker.rank == 5
+    assert load_config(None, [" tracker . rank=5"]).tracker.rank == 5
+    with pytest.raises(ConfigError, match=r"unknown key tracker\.bogus$"):
+        load_config(None, ["tracker. bogus=1"])

@@ -19,8 +19,8 @@ def mat(values):
 
 def stacked_covariance(model, p0, n_steps):
     """Joint covariance of [Z(1); ...; Z(N)] under the linear-Gaussian chain."""
-    dim = model.transition_matrix.shape[0]
-    trans = model.transition_matrix
+    dim = model.companion.shape[0]
+    trans = model.companion
     blocks = [[None] * n_steps for _ in range(n_steps)]
     blocks[0][0] = np.asarray(p0, complex)
     for k in range(1, n_steps):
@@ -43,7 +43,7 @@ def batch_lmmse(model, p0, rows, noise_var, observations, information=False):
     the cancellation the covariance form suffers under a diffuse prior.
     """
     n_steps = len(observations)
-    dim = model.transition_matrix.shape[0]
+    dim = model.companion.shape[0]
     sigma = stacked_covariance(model, p0, n_steps)
     h = np.zeros((n_steps, n_steps * dim), dtype=complex)
     for n, row in enumerate(rows):
@@ -62,26 +62,26 @@ def batch_lmmse(model, p0, rows, noise_var, observations, information=False):
 
 def run_forward(model, p0, rows, noise_var, observations):
     """Forward filtered (mean, cov) at every step from a zero-mean prior."""
-    mean, cov = np.zeros(model.transition_matrix.shape[0], complex), mat(p0)
+    mean, cov = np.zeros(model.companion.shape[0], complex), mat(p0)
     filtered = []
     for row, r_n in zip(rows, observations):
         mean, cov, _, _ = kf_update(mean, cov, vec(row), noise_var, r_n)
         filtered.append((mean, cov))
-        mean, cov = kf_predict(mean, cov, model)
+        mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
     return filtered
 
 
 def run_backward(model, p0, rows, noise_var, observations):
     """Backward filtered (mean, cov) at every step: the reversed-time filter
     through ``backward_model(model)``, from a zero-mean prior at the last step."""
-    back = backward_model(model)
-    mean, cov = np.zeros(model.transition_matrix.shape[0], complex), mat(p0)
+    trans, noise = backward_model(model)
+    mean, cov = np.zeros(model.companion.shape[0], complex), mat(p0)
     filtered = [None] * len(rows)
     for i in range(len(rows) - 1, -1, -1):
         mean, cov, _, _ = kf_update(mean, cov, vec(rows[i]), noise_var, observations[i])
         filtered[i] = (mean, cov)
         if i > 0:
-            mean, cov = kf_predict(mean, cov, back)
+            mean, cov = kf_predict(mean, cov, trans, noise)
     return filtered
 
 
@@ -136,7 +136,7 @@ def test_predict_identity_dynamics():
     model = ArTransitionModel(phi=np.array([[1.0], [1.0]]),
                               noise_cov=np.zeros((2, 2)))
     mean0, cov0 = vec([1.0, 2.0]), mat(np.diag([0.5, 0.25]))
-    mean, cov = kf_predict(mean0, cov0, model)
+    mean, cov = kf_predict(mean0, cov0, model.companion, model.process_noise_star)
     assert_allclose(mean, mean0)
     assert_allclose(cov, cov0)
 
@@ -144,7 +144,8 @@ def test_predict_identity_dynamics():
 def test_predict_zero_dynamics_resets_to_noise():
     noise = np.array([[0.3, 0.1], [0.1, 0.2]])
     model = ArTransitionModel(phi=np.zeros((2, 1)), noise_cov=noise)
-    mean, cov = kf_predict(vec([1.0, 2.0]), mat(np.eye(2)), model)
+    mean, cov = kf_predict(vec([1.0, 2.0]), mat(np.eye(2)), model.companion,
+                           model.process_noise_star)
     assert_allclose(mean, 0)
     assert_allclose(cov, noise)
 
@@ -156,7 +157,7 @@ def test_predict_matches_dense_triple_product():
     model = ArTransitionModel(phi=phi, noise_cov=noise)
     cov = mat(np.eye(4) + 0.1 * np.ones((4, 4)))
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    pred_mean, pred_cov = kf_predict(mean, cov, model)
+    pred_mean, pred_cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
     trans = model.companion
     assert_allclose(pred_mean, trans @ mean, atol=1e-12)
     want = trans @ cov @ trans.conj().T + model.process_noise_star
@@ -277,9 +278,9 @@ def test_predict_transition_tracks_drifting_coefficient():
 def test_backward_model_diagonal_inverse():
     model = ArTransitionModel(phi=np.array([[0.5], [0.8]]),
                               noise_cov=np.zeros((2, 2)))
-    back = backward_model(model)
-    assert_allclose(back.transition_matrix, np.diag([2.0, 1.25]))
-    assert_allclose(back.process_noise_star, 0)
+    trans, noise = backward_model(model)
+    assert_allclose(trans, np.diag([2.0, 1.25]))
+    assert_allclose(noise, 0)
 
 
 def test_backward_model_inverse_product_random():
@@ -288,16 +289,16 @@ def test_backward_model_inverse_product_random():
         phi = rng.uniform(0.2, 0.95, size=(3, 2)) * np.exp(
             1j * rng.uniform(-np.pi, np.pi, size=(3, 2)))
         model = ArTransitionModel(phi=phi, noise_cov=np.eye(3) * 0.1)
-        back = backward_model(model)
-        assert_allclose(back.transition_matrix @ model.companion,
+        trans, _ = backward_model(model)
+        assert_allclose(trans @ model.companion,
                         np.eye(6), atol=1e-10)
 
 
 def test_backward_model_maps_noise():
     model = ArTransitionModel(phi=np.array([[0.5]]),
                               noise_cov=np.array([[0.1]]))
-    back = backward_model(model)
-    assert_allclose(back.process_noise_star, [[0.1 / 0.25]])
+    _, noise = backward_model(model)
+    assert_allclose(noise, [[0.1 / 0.25]])
 
 
 def test_backward_model_singular_names_component():
@@ -453,7 +454,7 @@ def test_innovation_whiteness_matched_model():
                                               + 1j * rng.standard_normal())
         mean, cov, innovation, innovation_var = kf_update(mean, cov, row, sigma, r_n)
         norm_innov[i] = innovation / np.sqrt(innovation_var)
-        mean, cov = kf_predict(mean, cov, model)
+        mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
     assert abs(np.mean(np.abs(norm_innov[500:]) ** 2) - 1.0) < 0.1
 
 
@@ -496,7 +497,7 @@ def test_output_covariances_stay_psd():
         row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         mean, cov, _, _ = kf_update(mean, cov, row, 0.1,
                                     rng.standard_normal() + 1j * rng.standard_normal())
-        pred_mean, pred_cov = kf_predict(mean, cov, model)
+        pred_mean, pred_cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
         for out in (cov, pred_cov):
             evals = np.linalg.eigvalsh(out)
             assert evals.min() >= -1e-8 * max(np.trace(out).real, 1e-30)

@@ -225,10 +225,11 @@ def test_backward_pass_inverts_each_distinct_model_once(monkeypatch, dynamic_phi
 
 
 def test_eigen_spectrum_is_the_coarse_fit_covariance_spectrum():
-    from subtrack.coarse_est import LmsConfig, fit_coarse_model
+    from subtrack.coarse_est import fit_coarse_model, lms_track
     from subtrack.metrics import eigenvalue_spectrum
 
     _, _, obs, _ = make_observations()
-    res = run_asrmae(obs, TrackerConfig(rank=6, n_train=500))
-    coarse = fit_coarse_model(obs.d, obs.r, 500, 6, 1, LmsConfig())
+    cfg = TrackerConfig(rank=6, n_train=500)
+    res = run_asrmae(obs, cfg)
+    coarse = fit_coarse_model(lms_track(obs.d, obs.r, cfg.mu), 500, 6, 1, cfg.mu)
     assert np.array_equal(res.eigen_spectrum, eigenvalue_spectrum(coarse.channel_cov))
