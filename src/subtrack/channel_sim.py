@@ -191,6 +191,16 @@ class SimConfig:
                 f"{self.phi_lo}, {self.phi_hi}")
         if self.preset not in ("calm", "rough"):
             raise InvalidInputError(f"SimConfig: unknown preset {self.preset!r}")
+        if not self.snr_db > -np.inf:  # +inf is noise-free
+            raise InvalidInputError(
+                f"SimConfig: snr_db must be a number above -inf, got {self.snr_db}")
+        for name in ("omega_q", "phi_drift"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(
+                    f"SimConfig: {name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.power_decay < np.inf:
+            raise InvalidInputError(
+                f"SimConfig: power_decay must be finite and >= 0, got {self.power_decay}")
 
     @classmethod
     def for_preset(cls, preset: str, **overrides) -> "SimConfig":

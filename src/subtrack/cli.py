@@ -53,17 +53,9 @@ def _simulate(cfg: ExperimentConfig, seed: int, record=None):
     return traj, obs
 
 
-def _simulations(cfg: ExperimentConfig):
-    """Yield (seed, trajectory, observations) for each configured seed, one at a
-    time; a replayed record is loaded once for all of them."""
-    record = load_cir_csv(cfg.run.cir_csv) if cfg.run.cir_csv else None
-    for seed in cfg.run.seeds:
-        yield (seed, *_simulate(cfg, seed, record))
-
-
 def _check_record(traj, ranks, n_train: int) -> None:
     """Reject tracker settings the record cannot carry, before any tracking."""
-    bad = [r for r in ranks if not 1 <= r <= traj.n_taps]
+    bad = sorted({r for r in ranks if not 1 <= r <= traj.n_taps})
     if bad:
         raise ConfigError(f"ranks {bad} outside [1, {traj.n_taps}] (the record's taps)")
     if n_train >= traj.n_steps:
@@ -72,16 +64,24 @@ def _check_record(traj, ranks, n_train: int) -> None:
             f"{traj.n_steps}-step record")
 
 
-def _run_seed(cfg: ExperimentConfig, traj, obs) -> dict:
-    tracker = cfg.tracker
-    _check_record(traj, [tracker.rank], tracker.n_train)
-    with shared_front_end():
-        return {algo: ALGORITHMS[algo](obs, tracker) for algo in cfg.run.algos}
+def _track(cfg: ExperimentConfig, jobs, keep=lambda res: res) -> dict:
+    """Run each ``(key, algo, tracker config)`` job on every seed, seed by seed,
+    sharing one front end per seed; returns ``keep(result)`` by ``(key, seed)``.
+    A replayed record is loaded once for all seeds."""
+    record = load_cir_csv(cfg.run.cir_csv) if cfg.run.cir_csv else None
+    results = {}
+    for seed in cfg.run.seeds:
+        traj, obs = _simulate(cfg, seed, record)
+        _check_record(traj, [job_cfg.rank for _, _, job_cfg in jobs], cfg.tracker.n_train)
+        with shared_front_end():
+            for key, algo, job_cfg in jobs:
+                results[key, seed] = keep(ALGORITHMS[algo](obs, job_cfg))
+    return results
 
 
 def _first_seed_channel(cfg: ExperimentConfig):
     """The first seed's channel (simulated or replayed) and its sample covariance."""
-    _, traj, _ = next(_simulations(cfg))
+    traj, _ = _simulate(cfg, cfg.run.seeds[0])
     return traj, estimate_channel_covariance(traj.h, traj.n_steps)
 
 
@@ -109,9 +109,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     Returns the manifest dictionary (also written as ``manifest.json``).
     """
     started = time.time()
-    per_seed = [(seed, _run_seed(cfg, traj, obs)) for seed, traj, obs in _simulations(cfg)]
-    results = [(seed, algo, found[algo]) for seed, found in per_seed
-               for algo in cfg.run.algos]
+    seeds, algos = cfg.run.seeds, cfg.run.algos
+    found = _track(cfg, [(algo, algo, cfg.tracker) for algo in algos])
+    results = [(seed, algo, found[algo, seed]) for seed in seeds for algo in algos]
 
     tables = {"summary.csv": (
         ["seed", "algo", "mean_err_db", "train_len", "p", "r"],
@@ -126,19 +126,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
                 for seed, algo, res in results)))
 
     # Diagnostics come from the first seed's richest result.
-    first = per_seed[0][1]
-    diag = next((first[a] for a in ("dfb_asrmae", "asrmae") if a in first), None)
+    diag = next((found[a, seeds[0]] for a in ("dfb_asrmae", "asrmae") if a in algos), None)
     if diag is not None:
-        if cfg.run.emit_phi_traj and diag.phi_traj is not None:
+        if cfg.run.emit_phi_traj:
             n, tap = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
             tables["phi_traj.csv"] = (
                 ["n", "tap", "abs_phi"],
                 list(zip(n.tolist(), tap.tolist(), diag.phi_traj.ravel().tolist())))
-        if cfg.run.emit_coherence and diag.coherence_taps is not None:
-            tables["coherence_taps.csv"] = _coherence_table(diag.coherence_taps)
-        if cfg.run.emit_coherence and diag.coherence_components is not None:
-            tables["coherence_components.csv"] = _coherence_table(diag.coherence_components)
-        if cfg.run.emit_spectrum and diag.eigen_spectrum is not None:
+        if cfg.run.emit_coherence:
+            for name, series in (("taps", diag.h_tracked), ("components", diag.components)):
+                tables[f"coherence_{name}.csv"] = _coherence_table(
+                    cross_path_coherence(series[diag.n_train:]))
+        if cfg.run.emit_spectrum:
             tables["eigenspectrum.csv"] = _spectrum_table(diag.eigen_spectrum)
     return _write_outputs(cfg, out_dir, started, tables)
 
@@ -148,21 +147,10 @@ def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
     if algo not in ALGORITHMS:
         raise ConfigError(f"sweep-rank: unknown algorithm {algo!r}")
     started = time.time()
-    # One simulation per seed, shared read-only across every rank.
-    sims = {}
-    for seed, traj, obs in _simulations(cfg):
-        _check_record(traj, ranks, cfg.tracker.n_train)
-        sims[seed] = obs
-
-    # One front end per seed: widest rank first, so its PAST-d pass holds
-    # every narrower one.
-    err = {}
-    for seed, obs in sims.items():
-        with shared_front_end():
-            for rank in sorted(set(ranks), reverse=True):
-                job_cfg = dataclasses.replace(cfg.tracker, rank=rank)
-                err[rank, seed] = ALGORITHMS[algo](obs, job_cfg).mean_err_db
-
+    # Widest rank first, so its PAST-d pass holds every narrower one.
+    err = _track(cfg, [(rank, algo, dataclasses.replace(cfg.tracker, rank=rank))
+                       for rank in sorted(set(ranks), reverse=True)],
+                 keep=lambda res: res.mean_err_db)
     rows = []
     for rank in ranks:
         errs = [err[rank, seed] for seed in cfg.run.seeds]

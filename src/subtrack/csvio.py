@@ -1,8 +1,11 @@
 """CSV emission and ingestion for the experiment harness.
 
-All files are UTF-8, comma-separated, with a mandatory header row.  Floats
-are serialized with 17 significant digits so every value round-trips
-bit-exactly; complex quantities appear as ``_re``/``_im`` column pairs.
+All files are UTF-8, comma-separated, with a mandatory header row.  One
+formatting rule covers every cell: a float is written as ``"%.17g"`` (17
+significant digits, so it round-trips bit-exactly), anything else as
+``str``.  Complex quantities appear as ``_re``/``_im`` column pairs.  No cell
+is quoted, because every emitted cell is a number, an algorithm name or
+``all``.
 """
 
 import csv
@@ -16,21 +19,14 @@ from .errors import ConfigError, InvalidInputError
 
 
 def format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows (iterables matching ``header``) with deterministic formatting."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+    """Write rows (iterables matching ``header``), one line each, unquoted."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(format_value, row)) + "\n" for row in rows)
 
 
 def read_csv(path):

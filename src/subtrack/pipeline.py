@@ -1,10 +1,11 @@
 """End-to-end trackers: LMS baseline, forward-only subspace Kalman tracker,
-and the dynamic forward-backward variant, plus their derived metrics.
+and the dynamic forward-backward variant.
 
 All three runners consume an :class:`~subtrack.channel_sim.ObservationSequence`
-and a :class:`TrackerConfig` and return a :class:`TrackResult`.  The
-forward-only tracker and the forward-backward tracker share one engine, so
-disabling every enhancement flag reproduces the baseline bit for bit.
+and a :class:`TrackerConfig` and return a :class:`TrackResult` of arrays; the
+CLI builds every report table from them.  The forward-only tracker and the
+forward-backward tracker share one engine, so disabling every enhancement
+flag reproduces the baseline bit for bit.
 
 The front end has one path: one LMS pass over the whole record, the coarse
 fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
@@ -26,14 +27,13 @@ import numpy as np
 from .channel_sim import ObservationSequence
 from .coarse_est import fit_coarse_model, lms_residuals, lms_track
 from .errors import InvalidInputError
-# fb_combine and eigenvalue_spectrum are unused here but stay bound: the
-# benchmark's tracer wraps them.
+# fb_combine, cross_path_coherence and eigenvalue_spectrum are unused here but
+# stay bound: the benchmark's tracer wraps them.
 from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
                           fb_combine, fb_fuse, kf_predict, kf_update,
                           predict_transition)
-from .metrics import (DEFAULT_FLOOR_DB, CoherenceMatrix, cross_path_coherence,
-                      eigenvalue_spectrum, normalized_prediction_error,
-                      normalized_spectrum)
+from .metrics import (DEFAULT_FLOOR_DB, cross_path_coherence, eigenvalue_spectrum,
+                      normalized_prediction_error, normalized_spectrum)
 from .subspace_tracking import PastdTracker
 
 BACKWARD_PRIOR_SCALE = 1e3
@@ -49,7 +49,8 @@ class TrackerConfig:
     simulator, estimating from LMS residuals only when the simulator reports
     none).  The three flags select the enhancements of the forward-backward
     tracker; the baseline forces them all off.  ``mu`` and a set ``sigma_v2``
-    must be positive and finite; ``reorth_period`` 0 never re-orthonormalises.
+    must be positive and finite, ``floor_db`` finite; ``reorth_period`` 0 never
+    re-orthonormalises.
     """
 
     order: int = 1
@@ -78,6 +79,9 @@ class TrackerConfig:
         if self.sigma_v2 is not None and not 0 < self.sigma_v2 < np.inf:
             raise InvalidInputError(
                 f"TrackerConfig: sigma_v2 must be positive, got {self.sigma_v2}")
+        if not np.isfinite(self.floor_db):
+            raise InvalidInputError(
+                f"TrackerConfig: floor_db must be finite, got {self.floor_db}")
         if self.reorth_period < 0:
             raise InvalidInputError(
                 f"TrackerConfig: reorth_period must be >= 0 (0: never), "
@@ -86,7 +90,7 @@ class TrackerConfig:
 
 @dataclass
 class TrackResult:
-    """Tracked channel, prediction-error sequence, and derived diagnostics."""
+    """Tracked channel, its components, and the prediction-error sequence."""
 
     algo: str
     h_tracked: np.ndarray          # (N, K)
@@ -96,11 +100,10 @@ class TrackResult:
     rank: int
     order: int
     n_train: int
+    components: Optional[np.ndarray] = None      # (N, r) z behind h_tracked
     phi_traj: Optional[np.ndarray] = None        # (N, r) |phi_i(1)| per step
     noise_cov: Optional[np.ndarray] = None       # (r, r) process noise used
     eigen_spectrum: Optional[np.ndarray] = None  # (K,) normalized eigenvalues
-    coherence_taps: Optional[CoherenceMatrix] = None
-    coherence_components: Optional[CoherenceMatrix] = None
 
 
 def _filter_noise_variance(cfg: TrackerConfig, obs: ObservationSequence,
@@ -259,10 +262,8 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
                                                   eval_start=n_train)
     return TrackResult(
         algo=algo, h_tracked=h_out, xi=xi_out, err_db=err_db, mean_err_db=mean_db,
-        rank=rank, order=order, n_train=n_train, phi_traj=phi_traj,
-        noise_cov=noise_cov, eigen_spectrum=normalized_spectrum(coarse.eigenvalues),
-        coherence_taps=cross_path_coherence(h_out[n_train:]),
-        coherence_components=cross_path_coherence(z_out[n_train:]))
+        rank=rank, order=order, n_train=n_train, components=z_out, phi_traj=phi_traj,
+        noise_cov=noise_cov, eigen_spectrum=normalized_spectrum(coarse.eigenvalues))
 
 
 def run_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
@@ -299,8 +300,7 @@ def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
                                                   eval_start=cfg.n_train)
     return TrackResult(
         algo="lms", h_tracked=h_lms, xi=xi, err_db=err_db, mean_err_db=mean_db,
-        rank=cfg.rank, order=cfg.order, n_train=cfg.n_train,
-        coherence_taps=cross_path_coherence(h_lms[cfg.n_train:]))
+        rank=cfg.rank, order=cfg.order, n_train=cfg.n_train)
 
 
 ALGORITHMS = {"lms": run_lms, "asrmae": run_asrmae, "dfb_asrmae": run_dfb_asrmae}

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -225,6 +226,37 @@ def test_format_value_17_digits():
     assert format_value(3) == "3"
 
 
+def reference_write_csv(path, header, rows):
+    """The csv.writer-based writer and per-type formatter ``write_csv`` replaced."""
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_write_csv_matches_reference_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    floats = (rng.uniform(-1.0, 1.0, 5000) * 10.0 ** rng.uniform(-300.0, 300.0, 5000)).tolist()
+    floats += [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+               1e300, 1e-300, 0.1 + 0.2]
+    ints = rng.integers(-10**12, 10**12, len(floats))
+    names = ["lms", "asrmae", "dfb_asrmae", "all"]
+    rows = [[x, np.float64(x), int(i), i, names[k % 4]]
+            for k, (x, i) in enumerate(zip(floats, ints))]
+    header = ["x", "x64", "i", "i64", "name"]
+    write_csv(tmp_path / "new.csv", header, rows)
+    reference_write_csv(tmp_path / "ref.csv", header, rows)
+    assert read_body(tmp_path / "new.csv") == read_body(tmp_path / "ref.csv")
+
+
 def test_cir_csv_loader_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     h = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -447,14 +479,20 @@ def test_coherence_table_matches_reference_loop():
     assert sum(row[4] for row in rows) == 9
 
 
-# Tracker values their field's type accepts but the tracker cannot use.
+# Tracker and simulator values their field's type accepts but the run cannot use.
 OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.mu=inf",
                 "tracker.sigma_v2=-1", "tracker.sigma_v2=0", "tracker.sigma_v2=nan",
-                "tracker.sigma_v2=inf", "tracker.reorth_period=-1"]
+                "tracker.sigma_v2=inf", "tracker.reorth_period=-1",
+                "tracker.floor_db=nan", "tracker.floor_db=inf",
+                "sim.snr_db=nan", "sim.snr_db=-inf", "sim.omega_q=nan",
+                "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1"]
 
 
-@pytest.mark.parametrize("override", OUT_OF_RANGE)
-def test_out_of_range_tracker_value_exits_2(tmp_path, override):
+def in_section(section):
+    return [o for o in OUT_OF_RANGE if o.startswith(section + ".")]
+
+
+def assert_out_of_range_exits_2(tmp_path, override):
     key = override.split("=")[0].split(".")[1]
     with pytest.raises(ConfigError, match=key):
         load_config(None, [override])
@@ -464,8 +502,41 @@ def test_out_of_range_tracker_value_exits_2(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", in_section("tracker"))
+def test_out_of_range_tracker_value_exits_2(tmp_path, override):
+    assert_out_of_range_exits_2(tmp_path, override)
+
+
+@pytest.mark.parametrize("override", in_section("sim"))
+def test_out_of_range_sim_value_exits_2(tmp_path, override):
+    assert_out_of_range_exits_2(tmp_path, override)
+
+
 def test_reorth_period_zero_still_means_never():
     assert load_config(None, ["tracker.reorth_period=0"]).tracker.reorth_period == 0
+
+
+@pytest.mark.parametrize("override", ["sim.snr_db=inf", "sim.power_decay=0"])
+def test_edge_sim_values_still_run(tmp_path, override):
+    assert run_cli(["run", *SMALL, "--override", override, "--seed", "0",
+                    "--out", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("args,calls", [
+    (["run", "--seeds", "2", "--algos", "lms,asrmae,dfb_asrmae"], 2),
+    (["run", "--seeds", "2", "--algos", "lms,asrmae,dfb_asrmae",
+      "--override", "run.emit_coherence=false"], 0),
+    (["sweep-rank", "--seeds", "2", "--ranks", "2,3"], 0),
+], ids=["run", "run-no-coherence", "sweep-rank"])
+def test_coherence_computed_only_for_written_tables(tmp_path, monkeypatch, args, calls):
+    seen = []
+    for module in (cli, pipeline):
+        real = module.cross_path_coherence
+        monkeypatch.setattr(module, "cross_path_coherence",
+                            lambda *a, _name=module.__name__, _real=real:
+                            seen.append(_name) or _real(*a))
+    assert run_cli([*args, *SMALL, "--out", tmp_path / "out"]) == 0
+    assert seen == ["subtrack.cli"] * calls
 
 
 @pytest.mark.parametrize("command", ["run", "coherence"])

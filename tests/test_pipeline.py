@@ -116,8 +116,7 @@ def test_track_result_shapes_and_diagnostics():
     assert res.phi_traj.shape == (n, 6)
     assert res.noise_cov.shape == (6, 6)
     assert res.eigen_spectrum.shape == (k,)
-    assert res.coherence_taps.rho.shape == (k, k)
-    assert res.coherence_components.rho.shape == (6, 6)
+    assert res.components.shape == (n, 6)
     assert np.isfinite(res.mean_err_db)
 
 
