@@ -52,8 +52,8 @@ print("  normalized eigenvalues 1..10:",
 print("  -> the three spread arrivals give a steep spectral knee.\n")
 
 # --- latent route: designed rank, components decorrelate ------------------
-lcfg = SimConfig.for_preset("calm", n_taps=64, n_steps=6000, n_train=1000,
-                            r_true=12, seed=11, phi_lo=0.99, phi_hi=0.998)
+lcfg = SimConfig(preset="calm", n_taps=64, n_steps=6000, n_train=1000,
+                 r_true=12, seed=11, phi_lo=0.99, phi_hi=0.998)
 ltraj, truth = synth_latent_channel(lcfg)
 lcov = ltraj.h.T @ ltraj.h.conj() / lcfg.n_steps
 lspec = eigenvalue_spectrum(0.5 * (lcov + lcov.conj().T))

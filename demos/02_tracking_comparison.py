@@ -24,8 +24,8 @@ gains = {}
 for preset in ("calm", "rough"):
     gains[preset] = []
     for seed in SEEDS:
-        sim = SimConfig.for_preset(preset, n_taps=64, n_steps=5000,
-                                   n_train=1000, r_true=12, seed=seed)
+        sim = SimConfig(preset=preset, n_taps=64, n_steps=5000,
+                        n_train=1000, r_true=12, seed=seed)
         traj, _ = synth_latent_channel(sim)
         symbols = gen_symbols(sim.n_steps, seed=seed + 1000)
         sigma = noise_variance_for_snr(traj, sim.snr_db)

@@ -1,6 +1,6 @@
 """Subspace Kalman tracking of correlated time-varying channels.
 
-A numpy/scipy library: synthetic channel generators with ground truth, the
+A numpy-only library: synthetic channel generators with ground truth, the
 spectral/Yule-Walker numerics, an LMS coarse estimator, a recursive subspace
 tracker, forward and backward Kalman recursions with per-step model re-fits,
 two-filter fusion, and an experiment harness (``subtrack`` CLI).

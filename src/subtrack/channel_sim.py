@@ -17,22 +17,25 @@ bit-identical outputs.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
+# Each preset's basis rotation per step (omega_q) and AR-coefficient drift.
+_PRESETS = {"calm": {"omega_q": 2e-4, "phi_drift": 0.0},
+            "rough": {"omega_q": 2e-3, "phi_drift": 0.05}}
 
 
 @dataclass
 class PulseShape:
     """Combined transmit/receive filter sampled once per tap interval.
 
-    ``taps[j]`` is the pulse value at ``(j - (len(taps)-1)/2) * t_tap``, i.e.
-    the sample grid is centered on the pulse peak.  Off-grid evaluation uses
-    band-limited (sinc) interpolation of these samples.
+    ``taps[j]`` is the pulse value ``j - (len(taps)-1)/2`` tap intervals from
+    the peak, i.e. the sample grid is centered on the pulse peak.  Off-grid
+    evaluation uses band-limited (sinc) interpolation of these samples.
     """
 
     taps: np.ndarray
@@ -84,7 +87,8 @@ class PulseShape:
 class PathSet:
     """Multipath arrivals: per-path amplitude and delay trajectories.
 
-    ``amplitudes`` is (M, N) complex and ``delays`` is (M, N) seconds.
+    ``amplitudes`` is (M, N) complex and ``delays`` is (M, N), counted in tap
+    intervals.
     """
 
     amplitudes: np.ndarray
@@ -110,8 +114,6 @@ class ChannelTrajectory:
     """Sampled channel impulse response h[n, k] over n = 0..N-1, k = 0..K-1."""
 
     h: np.ndarray       # (N, K) complex
-    t_tap: float        # seconds between taps
-    t_snapshot: float   # seconds between snapshots
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=np.complex128)
@@ -136,7 +138,6 @@ class SimGroundTruth:
     q_true: np.ndarray        # (N, K, r) orthonormal basis per step
     z_true: np.ndarray        # (N, r) components
     phi_true: np.ndarray      # (N, r) AR(1) coefficients per step
-    noise_cov_true: np.ndarray  # (r, r) component innovation covariance
 
 
 @dataclass
@@ -162,7 +163,8 @@ class SimConfig:
     ``preset`` selects the slow/fast variation regime: "calm" keeps the AR
     coefficients fixed and barely rotates the basis, "rough" rotates the basis
     ten times faster and drifts every AR coefficient down by ``phi_drift``
-    over the run.
+    over the run.  ``omega_q`` and ``phi_drift`` left at ``None`` take the
+    preset's values; a value given explicitly wins.
     """
 
     n_taps: int = 64
@@ -173,12 +175,17 @@ class SimConfig:
     snr_db: float = 20.0
     phi_lo: float = 0.99
     phi_hi: float = 0.9995
-    omega_q: float = 2e-4
-    phi_drift: float = 0.0
+    omega_q: Optional[float] = None
+    phi_drift: Optional[float] = None
     preset: str = "calm"
     power_decay: float = 0.7  # geometric per-component power ratio
 
     def __post_init__(self):
+        if self.preset not in _PRESETS:
+            raise InvalidInputError(f"SimConfig: unknown preset {self.preset!r}")
+        for name, value in _PRESETS[self.preset].items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
         if not 0 < self.n_train < self.n_steps:
             raise InvalidInputError(
                 f"SimConfig: need 0 < n_train < n_steps, got {self.n_train}, {self.n_steps}")
@@ -189,8 +196,6 @@ class SimConfig:
             raise InvalidInputError(
                 f"SimConfig: need 0 <= phi_lo <= phi_hi < 1, got "
                 f"{self.phi_lo}, {self.phi_hi}")
-        if self.preset not in ("calm", "rough"):
-            raise InvalidInputError(f"SimConfig: unknown preset {self.preset!r}")
         if not self.snr_db > -np.inf:  # +inf is noise-free
             raise InvalidInputError(
                 f"SimConfig: snr_db must be a number above -inf, got {self.snr_db}")
@@ -202,27 +207,14 @@ class SimConfig:
             raise InvalidInputError(
                 f"SimConfig: power_decay must be finite and >= 0, got {self.power_decay}")
 
-    @classmethod
-    def for_preset(cls, preset: str, **overrides) -> "SimConfig":
-        """Build a config with the preset's variation parameters filled in."""
-        params = dict(preset=preset)
-        if preset == "calm":
-            params.update(omega_q=2e-4, phi_drift=0.0)
-        elif preset == "rough":
-            params.update(omega_q=2e-3, phi_drift=0.05)
-        else:
-            raise InvalidInputError(f"SimConfig: unknown preset {preset!r}")
-        params.update(overrides)
-        return cls(**params)
 
-
-def synth_physical_channel(paths: PathSet, pulse: PulseShape, cfg: SimConfig,
-                           t_tap: float = 1.0, t_snapshot: float = 1.0) -> ChannelTrajectory:
+def synth_physical_channel(paths: PathSet, pulse: PulseShape,
+                           cfg: SimConfig) -> ChannelTrajectory:
     """Superpose pulse-shaped multipath arrivals into a tap trajectory.
 
-    ``h[n, k] = sum_m A_m(n) * g(k*t_tap - tau_m(n))`` with ``g`` the
-    band-limited interpolation of the pulse taps.  Delays must stay within
-    ``[0, (K - span) * t_tap]`` so the pulse main lobe fits the tap window.
+    ``h[n, k] = sum_m A_m(n) * g(k - tau_m(n))`` with ``g`` the band-limited
+    interpolation of the pulse taps and delays in tap intervals.  Delays must
+    stay within ``[0, K - span]`` so the pulse main lobe fits the tap window.
     """
     n_steps, n_taps = cfg.n_steps, cfg.n_taps
     if paths.n_paths and paths.amplitudes.shape[1] != n_steps:
@@ -231,25 +223,24 @@ def synth_physical_channel(paths: PathSet, pulse: PulseShape, cfg: SimConfig,
             f"config wants {n_steps}")
     h = np.zeros((n_steps, n_taps), dtype=np.complex128)
     if paths.n_paths == 0:
-        return ChannelTrajectory(h=h, t_tap=t_tap, t_snapshot=t_snapshot)
+        return ChannelTrajectory(h=h)
 
-    max_delay = (n_taps - pulse.span_symbols) * t_tap
+    max_delay = n_taps - pulse.span_symbols
     if np.min(paths.delays) < 0 or np.max(paths.delays) > max_delay:
         raise InvalidInputError(
             f"synth_physical_channel: delays must lie in [0, {max_delay}] "
-            f"(= (n_taps - span) * t_tap)")
+            f"(= n_taps - span)")
 
     k_grid = np.arange(n_taps, dtype=np.float64)
     for m in range(paths.n_paths):
-        offsets = k_grid[np.newaxis, :] - (paths.delays[m][:, np.newaxis] / t_tap)
+        offsets = k_grid[np.newaxis, :] - paths.delays[m][:, np.newaxis]
         h += paths.amplitudes[m][:, np.newaxis] * pulse.evaluate(offsets)
-    return ChannelTrajectory(h=h, t_tap=t_tap, t_snapshot=t_snapshot)
+    return ChannelTrajectory(h=h)
 
 
 def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,
                       phi: np.ndarray, noise_cov: np.ndarray, n_steps: int,
-                      rng: np.random.Generator,
-                      t_tap: float = 1.0, t_snapshot: float = 1.0):
+                      rng: np.random.Generator):
     """Low-level latent generator with explicit truth parameters.
 
     Parameters
@@ -297,10 +288,7 @@ def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,
             q_seq[n] = q
 
     h = np.einsum("nkr,nr->nk", q_seq, z)
-    traj = ChannelTrajectory(h=h, t_tap=t_tap, t_snapshot=t_snapshot)
-    truth = SimGroundTruth(q_true=q_seq, z_true=z, phi_true=phi,
-                           noise_cov_true=np.diag(noise_std ** 2).astype(np.complex128))
-    return traj, truth
+    return ChannelTrajectory(h=h), SimGroundTruth(q_true=q_seq, z_true=z, phi_true=phi)
 
 
 def synth_latent_channel(cfg: SimConfig):
@@ -346,7 +334,8 @@ def gen_symbols(n_steps: int, seed: int = 0) -> np.ndarray:
 def symbol_windows(symbols: np.ndarray, n_taps: int) -> np.ndarray:
     """Sliding windows d[n] = [s(n), s(n-1), ..., s(n-K+1)], zero-padded history."""
     symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    return scipy.linalg.toeplitz(symbols, np.zeros(n_taps, dtype=np.complex128))
+    padded = np.concatenate([np.zeros(n_taps - 1, dtype=np.complex128), symbols])
+    return np.lib.stride_tricks.sliding_window_view(padded, n_taps)[:, ::-1].copy()
 
 
 def generate_observations(traj: ChannelTrajectory, symbols: np.ndarray,

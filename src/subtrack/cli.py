@@ -64,10 +64,10 @@ def _check_record(traj, ranks, n_train: int) -> None:
             f"{traj.n_steps}-step record")
 
 
-def _track(cfg: ExperimentConfig, jobs, keep=lambda res: res) -> dict:
+def _track(cfg: ExperimentConfig, jobs, keep) -> dict:
     """Run each ``(key, algo, tracker config)`` job on every seed, seed by seed,
-    sharing one front end per seed; returns ``keep(result)`` by ``(key, seed)``.
-    A replayed record is loaded once for all seeds."""
+    sharing one front end per seed; returns ``keep(key, seed, result)`` by
+    ``(key, seed)``.  A replayed record is loaded once for all seeds."""
     record = load_cir_csv(cfg.run.cir_csv) if cfg.run.cir_csv else None
     results = {}
     for seed in cfg.run.seeds:
@@ -75,7 +75,7 @@ def _track(cfg: ExperimentConfig, jobs, keep=lambda res: res) -> dict:
         _check_record(traj, [job_cfg.rank for _, _, job_cfg in jobs], cfg.tracker.n_train)
         with shared_front_end():
             for key, algo, job_cfg in jobs:
-                results[key, seed] = keep(ALGORITHMS[algo](obs, job_cfg))
+                results[key, seed] = keep(key, seed, ALGORITHMS[algo](obs, job_cfg))
     return results
 
 
@@ -110,7 +110,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """
     started = time.time()
     seeds, algos = cfg.run.seeds, cfg.run.algos
-    found = _track(cfg, [(algo, algo, cfg.tracker) for algo in algos])
+    # Diagnostics come from the first seed's richest result, the only one held
+    # whole; the others keep what the summary and error tables read.
+    diag_algo = next((a for a in ("dfb_asrmae", "asrmae") if a in algos), None)
+
+    def keep(algo, seed, res):
+        if (algo, seed) == (diag_algo, seeds[0]):
+            return res
+        return dataclasses.replace(res, h_tracked=None, components=None, phi_traj=None,
+                                   noise_cov=None, eigen_spectrum=None)
+
+    found = _track(cfg, [(algo, algo, cfg.tracker) for algo in algos], keep)
     results = [(seed, algo, found[algo, seed]) for seed in seeds for algo in algos]
 
     tables = {"summary.csv": (
@@ -125,9 +135,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
                     res.xi.imag.tolist(), res.err_db.tolist())
                 for seed, algo, res in results)))
 
-    # Diagnostics come from the first seed's richest result.
-    diag = next((found[a, seeds[0]] for a in ("dfb_asrmae", "asrmae") if a in algos), None)
-    if diag is not None:
+    if diag_algo is not None:
+        diag = found[diag_algo, seeds[0]]
         if cfg.run.emit_phi_traj:
             n, tap = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
             tables["phi_traj.csv"] = (
@@ -150,7 +159,7 @@ def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
     # Widest rank first, so its PAST-d pass holds every narrower one.
     err = _track(cfg, [(rank, algo, dataclasses.replace(cfg.tracker, rank=rank))
                        for rank in sorted(set(ranks), reverse=True)],
-                 keep=lambda res: res.mean_err_db)
+                 keep=lambda rank, seed, res: res.mean_err_db)
     rows = []
     for rank in ranks:
         errs = [err[rank, seed] for seed in cfg.run.seeds]

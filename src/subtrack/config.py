@@ -133,19 +133,12 @@ def _convert(section: str, key: str, raw: str):
 
 
 def _build(sections: dict) -> ExperimentConfig:
-    sim_kwargs = dict(sections.get("sim", {}))
-    tracker_kwargs = dict(sections.get("tracker", {}))
-    run_kwargs = dict(sections.get("run", {}))
-
-    preset = sim_kwargs.pop("preset", None)
+    tracker_kwargs = dict(sections["tracker"])
     try:
-        if preset is not None:
-            sim = SimConfig.for_preset(preset, **sim_kwargs)
-        else:
-            sim = SimConfig(**sim_kwargs)
+        sim = SimConfig(**sections["sim"])
         tracker_kwargs.setdefault("n_train", sim.n_train)
         tracker = TrackerConfig(**tracker_kwargs)
-        run = RunConfig(**run_kwargs)
+        run = RunConfig(**sections["run"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return ExperimentConfig(sim=sim, tracker=tracker, run=run)

@@ -106,4 +106,4 @@ def load_cir_csv(path) -> ChannelTrajectory:
     h[n_idx, k_idx] = data[:, 2] + 1j * data[:, 3]
     if np.isnan(h.real).any():
         raise ConfigError("load_cir_csv: grid has missing (n, k) entries")
-    return ChannelTrajectory(h=h, t_tap=1.0, t_snapshot=1.0)
+    return ChannelTrajectory(h=h)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel_sim import ObservationSequence
 from .coarse_est import fit_coarse_model, lms_residuals, lms_track
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 # fb_combine, cross_path_coherence and eigenvalue_spectrum are unused here but
 # stay bound: the benchmark's tracer wraps them.
 from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
@@ -240,15 +240,21 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         mean = np.zeros(dim, dtype=np.complex128)
         cov = BACKWARD_PRIOR_SCALE * np.eye(dim, dtype=np.complex128)
         forward = reverse = None  # the last model inverted, and its (trans, noise)
-        for n in range(n_steps - 1, -1, -1):
-            mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
-            means_b[n] = mean
-            covs_b[n] = cov
-            if n > 0:
-                if prediction_models[n - 1] is not forward:
-                    forward = prediction_models[n - 1]
-                    reverse = backward_model(forward)
-                mean, cov = kf_predict(mean, cov, *reverse)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for n in range(n_steps - 1, -1, -1):
+                    mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
+                    means_b[n] = mean
+                    covs_b[n] = cov
+                    if n > 0:
+                        if prediction_models[n - 1] is not forward:
+                            forward = prediction_models[n - 1]
+                            reverse = backward_model(forward)
+                        mean, cov = kf_predict(mean, cov, *reverse)
+        except FloatingPointError as exc:
+            raise NumericError(
+                f"tracker: the backward pass failed at step {n} ({exc}); "
+                f"tracker.fb_smoothing=false runs the forward filter only") from None
 
         fused = fb_fuse(means_f, covs_f, means_b, covs_b)
         z_out = fused[:, :rank]

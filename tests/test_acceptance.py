@@ -35,7 +35,7 @@ def report(number, ok, detail, elapsed, budget):
 
 
 def simulate(preset, seed, **sim_kw):
-    cfg = SimConfig.for_preset(preset, seed=seed, **sim_kw)
+    cfg = SimConfig(preset=preset, seed=seed, **sim_kw)
     traj, truth = synth_latent_channel(cfg)
     symbols = gen_symbols(cfg.n_steps, seed=seed + 1_000_000)
     sigma = noise_variance_for_snr(traj, cfg.snr_db)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from subtrack.channel_sim import (ChannelTrajectory, PathSet, PulseShape,
@@ -138,15 +139,23 @@ def test_latent_rejects_bad_rank():
 
 
 def test_preset_parameters():
-    calm = SimConfig.for_preset("calm")
-    rough = SimConfig.for_preset("rough")
+    calm = SimConfig(preset="calm")
+    rough = SimConfig(preset="rough")
     assert calm.omega_q == 2e-4 and calm.phi_drift == 0.0
     assert rough.omega_q == 2e-3 and rough.phi_drift == 0.05
+    assert SimConfig() == calm
+
+
+def test_explicit_variation_values_beat_the_preset():
+    cfg = SimConfig(preset="rough", omega_q=0.0)
+    assert cfg.omega_q == 0.0 and cfg.phi_drift == 0.05
+    cfg = SimConfig(preset="calm", phi_drift=0.02)
+    assert cfg.omega_q == 2e-4 and cfg.phi_drift == 0.02
 
 
 def test_rough_preset_drifts_phi():
-    cfg = SimConfig.for_preset("rough", n_taps=16, n_steps=400, n_train=100,
-                               r_true=3, seed=1)
+    cfg = SimConfig(preset="rough", n_taps=16, n_steps=400, n_train=100,
+                    r_true=3, seed=1)
     _, truth = synth_latent_channel(cfg)
     drop = truth.phi_true[0].real - truth.phi_true[-1].real
     assert_allclose(drop, 0.05, atol=1e-12)
@@ -174,8 +183,7 @@ def test_symbols_validates_length():
 
 # ------------------------------------------------------------ observations
 def test_observations_noiseless_scalar():
-    traj = ChannelTrajectory(
-        h=np.full((20, 1), 0.3 - 0.1j), t_tap=1.0, t_snapshot=1.0)
+    traj = ChannelTrajectory(h=np.full((20, 1), 0.3 - 0.1j))
     obs = generate_observations(traj, np.ones(20), 0.0, seed=0)
     assert_allclose(obs.r, 0.3 - 0.1j, atol=1e-14)
 
@@ -193,8 +201,7 @@ def test_observations_dot_product_oracle():
 
 
 def test_observations_noise_variance_monte_carlo():
-    traj = ChannelTrajectory(
-        h=np.zeros((100_000, 2)), t_tap=1.0, t_snapshot=1.0)
+    traj = ChannelTrajectory(h=np.zeros((100_000, 2)))
     obs = generate_observations(traj, gen_symbols(100_000, seed=7), 1.0, seed=8)
     assert abs(np.mean(np.abs(obs.r) ** 2) - 1.0) < 0.03
 
@@ -210,7 +217,28 @@ def test_symbol_windows_layout():
     assert_allclose(windows, [[1, 0], [2, 1], [3, 2]])
 
 
+@pytest.mark.parametrize("n_steps,n_taps", [(1, 1), (3, 2), (2, 5), (7, 7), (100, 1),
+                                            (5000, 64), (14000, 20)])
+def test_symbol_windows_equal_scipy_toeplitz(n_steps, n_taps):
+    symbols = gen_symbols(n_steps, seed=n_steps + n_taps)
+    want = scipy.linalg.toeplitz(symbols, np.zeros(n_taps, dtype=np.complex128))
+    got = symbol_windows(symbols, n_taps)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.flags.owndata and got.flags.writeable
+
+
+def test_symbol_windows_integer_input_is_complex():
+    symbols = np.array([3, -1, 2, 5])
+    got = symbol_windows(symbols, 6)
+    want = scipy.linalg.toeplitz(symbols.astype(np.complex128),
+                                 np.zeros(6, dtype=np.complex128))
+    assert got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
+
+
 def test_noise_variance_for_snr():
-    traj = ChannelTrajectory(
-        h=np.ones((10, 4)), t_tap=1.0, t_snapshot=1.0)
+    traj = ChannelTrajectory(h=np.ones((10, 4)))
     assert_allclose(noise_variance_for_snr(traj, 10.0), 0.4)

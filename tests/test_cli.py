@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,15 @@ def run_cli(args):
 
 def read_body(path):
     return Path(path).read_bytes()
+
+
+def run_python(args):
+    """Run ``python *args`` in a fresh process that imports this tree's subtrack."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          text=True, env=env)
 
 
 def test_run_summary_cardinality(tmp_path):
@@ -485,7 +498,8 @@ OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.m
                 "tracker.sigma_v2=inf", "tracker.reorth_period=-1",
                 "tracker.floor_db=nan", "tracker.floor_db=inf",
                 "sim.snr_db=nan", "sim.snr_db=-inf", "sim.omega_q=nan",
-                "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1"]
+                "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1",
+                "sim.preset=stormy"]
 
 
 def in_section(section):
@@ -558,3 +572,44 @@ def test_override_section_and_key_are_stripped():
     assert load_config(None, [" tracker . rank=5"]).tracker.rank == 5
     with pytest.raises(ConfigError, match=r"unknown key tracker\.bogus$"):
         load_config(None, ["tracker. bogus=1"])
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_python(["-c", "import sys, subtrack.cli; "
+                             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def count_whole_results():
+    gc.collect()
+    return sum(isinstance(obj, pipeline.TrackResult) and obj.h_tracked is not None
+               for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("algos", ["lms,asrmae,dfb_asrmae", "lms"])
+def test_run_holds_only_the_diagnostic_result_whole(tmp_path, monkeypatch, algos):
+    before = count_whole_results()
+    held = []
+    write = cli._write_outputs
+
+    def counting_write(*args, **kwargs):
+        held.append(count_whole_results() - before)
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_outputs", counting_write)
+    assert run_cli(["run", *SMALL, "--seeds", "3", "--algos", algos,
+                    "--out", tmp_path / "out"]) == 0
+    assert held == [1 if "asrmae" in algos else 0]
+
+
+def test_higher_order_smoothing_overflow_exits_3_without_warnings(tmp_path):
+    # The p >= 2 backward pass overflows on this record: the inverted
+    # companion matrix has eigenvalues far above one.
+    proc = run_python(["-m", "subtrack.cli", "run", "--seed", "3", "--algos", "dfb_asrmae",
+                       "--override", "tracker.order=2", "--override", "sim.n_taps=32",
+                       "--override", "sim.n_steps=3000", "--override", "tracker.rank=6",
+                       "--out", tmp_path / "out"])
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "backward pass" in proc.stderr and "tracker.fb_smoothing=false" in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 from subtrack.channel_sim import (SimConfig, gen_symbols, generate_observations,
                                   latent_trajectory, noise_variance_for_snr,
                                   synth_latent_channel)
-from subtrack.errors import InvalidInputError
+from subtrack.errors import InvalidInputError, NumericError
 from subtrack.pipeline import (ALGORITHMS, TrackerConfig, run_asrmae,
                                run_dfb_asrmae, run_lms, shared_front_end)
 
@@ -16,7 +16,7 @@ def make_observations(preset="calm", seed=1, snr_db=20.0, **sim_kw):
     params = dict(n_taps=24, n_steps=1500, n_train=500, r_true=6, seed=seed,
                   phi_lo=0.99, phi_hi=0.998, power_decay=0.8)
     params.update(sim_kw)
-    cfg = SimConfig.for_preset(preset, **params)
+    cfg = SimConfig(preset=preset, **params)
     traj, truth = synth_latent_channel(cfg)
     symbols = gen_symbols(cfg.n_steps, seed=seed + 1000)
     sigma = noise_variance_for_snr(traj, snr_db)
@@ -57,6 +57,18 @@ def test_higher_order_forward_tracking(order):
     assert base.mean_err_db == flags_off.mean_err_db
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_higher_order_smoothing_overflow_is_a_numeric_error(order):
+    # The p >= 2 backward pass overflows here (the inverted companion matrix
+    # has eigenvalues far above one); it must stop with a typed error, not
+    # with overflow warnings and non-finite values.
+    _, _, obs, _ = make_observations(seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="backward pass.*fb_smoothing=false"):
+            run_dfb_asrmae(obs, TrackerConfig(order=order, rank=6, n_train=500))
+
+
 def test_noiseless_static_channel_in_model_class():
     # phi = 1, zero innovation, frozen basis: the tracker should lock on.
     # Real-valued truth (the coarse estimator resolves the channel in
@@ -68,8 +80,7 @@ def test_noiseless_static_channel_in_model_class():
     rng = np.random.default_rng(3)
     q0, _ = np.linalg.qr(rng.standard_normal((12, 3)))
     h0 = q0 @ rng.standard_normal(3)
-    traj = ChannelTrajectory(h=np.tile(h0, (8000, 1)).astype(complex),
-                             t_tap=1.0, t_snapshot=1.0)
+    traj = ChannelTrajectory(h=np.tile(h0, (8000, 1)).astype(complex))
     obs = generate_observations(traj, gen_symbols(8000, seed=4), 0.0, seed=5)
     res = run_asrmae(obs, TrackerConfig(rank=3, n_train=3000))
     assert res.mean_err_db < -60.0
