@@ -1,75 +1,38 @@
 """Why a handful of components carry the channel.
 
-Simulates a correlated multipath channel two ways (physical arrivals through
-a band-limited pulse, and the low-rank latent generator), then shows the two
-structural facts the trackers exploit: neighbouring taps are strongly
-coherent, and the eigenvalue spectrum of the tap covariance collapses after a
-few components, while the projected components are nearly uncorrelated.
+Simulates a correlated channel with the low-rank latent generator, then shows
+the two structural facts the trackers exploit: the eigenvalue spectrum of
+the tap covariance collapses after the designed rank, and the taps are
+strongly coherent while the components projected onto the dominant
+eigenvectors are nearly uncorrelated.
 
 Run:  python demos/01_channel_and_subspace.py
 """
 
 import numpy as np
 
-from subtrack import (PathSet, PulseShape, SimConfig, cross_path_coherence,
-                      eigenvalue_spectrum, evd_hermitian, project_components,
-                      synth_latent_channel, synth_physical_channel,
+from subtrack import (SimConfig, cross_path_coherence, eigenvalue_spectrum,
+                      evd_hermitian, project_components, synth_latent_channel,
                       truncate_subspace)
 
-rng = np.random.default_rng(7)
-
-# --- physical route: three slowly-wandering arrivals, off-grid delays -----
-n_steps, n_taps = 4000, 48
-base_delays = np.array([8.3, 9.1, 21.6])
-wander = 0.15 * np.cumsum(rng.standard_normal((3, n_steps)), axis=1) / np.sqrt(n_steps)
-delays = np.clip(base_delays[:, None] + wander, 0.0, n_taps - 10.0)
-amplitudes = np.empty((3, n_steps), dtype=complex)
-for m, (scale, rate) in enumerate(((1.0, 0.995), (0.7, 0.99), (0.5, 0.98))):
-    amp = np.empty(n_steps, dtype=complex)
-    amp[0] = scale
-    step = np.sqrt((1 - rate**2) / 2) * scale
-    noise = rng.standard_normal(n_steps) + 1j * rng.standard_normal(n_steps)
-    for n in range(1, n_steps):
-        amp[n] = rate * amp[n - 1] + step * noise[n]
-    amplitudes[m] = amp
-
-pulse = PulseShape.raised_cosine(span_symbols=10, rolloff=0.3, width_symbols=2.5)
-cfg = SimConfig(n_taps=n_taps, n_steps=n_steps, n_train=1000, r_true=6, seed=7)
-traj = synth_physical_channel(PathSet(amplitudes=amplitudes, delays=delays), pulse, cfg)
-
-rho = cross_path_coherence(traj.h)
-print("Physical channel: 3 arrivals spread over a", pulse.span_symbols,
-      "tap pulse footprint")
-print("  |coherence| between taps 8..11 (one arrival's footprint):")
-for j in range(8, 12):
-    row = " ".join(f"{abs(rho.rho[j, k]):4.2f}" for k in range(8, 12))
-    print(f"    tap {j}: {row}")
-
-cov = traj.h.T @ traj.h.conj() / n_steps
+cfg = SimConfig(preset="calm", n_taps=64, n_steps=6000, n_train=1000,
+                r_true=12, seed=11, phi_lo=0.99, phi_hi=0.998)
+traj, _ = synth_latent_channel(cfg)
+cov = traj.h.T @ traj.h.conj() / cfg.n_steps
 spectrum = eigenvalue_spectrum(0.5 * (cov + cov.conj().T))
-print("  normalized eigenvalues 1..10:",
-      np.array2string(spectrum[:10], precision=4, suppress_small=True))
-print("  -> the three spread arrivals give a steep spectral knee.\n")
-
-# --- latent route: designed rank, components decorrelate ------------------
-lcfg = SimConfig(preset="calm", n_taps=64, n_steps=6000, n_train=1000,
-                 r_true=12, seed=11, phi_lo=0.99, phi_hi=0.998)
-ltraj, truth = synth_latent_channel(lcfg)
-lcov = ltraj.h.T @ ltraj.h.conj() / lcfg.n_steps
-lspec = eigenvalue_spectrum(0.5 * (lcov + lcov.conj().T))
-print("Latent channel (r_true = 12): eigenvalue 12 =", f"{lspec[11]:.4f},",
-      "eigenvalue 13 =", f"{lspec[12]:.2e}")
+print("Latent channel (r_true = 12): eigenvalue 12 =", f"{spectrum[11]:.4f},",
+      "eigenvalue 13 =", f"{spectrum[12]:.2e}")
 
 # Basis learned on the first half, coherence measured on the second half:
 # the decorrelation is good but not perfect once the basis ages, which is
 # exactly the residual correlation the full tracker's noise model absorbs.
-half = lcfg.n_steps // 2
-train_cov = ltraj.h[:half].T @ ltraj.h[:half].conj() / half
+half = cfg.n_steps // 2
+train_cov = traj.h[:half].T @ traj.h[:half].conj() / half
 basis = truncate_subspace(evd_hermitian(0.5 * (train_cov + train_cov.conj().T)), 12)
-components = project_components(ltraj.h[half:], basis)
+components = project_components(traj.h[half:], basis)
 rho_z = cross_path_coherence(components)
 off = np.abs(rho_z.rho[~np.eye(12, dtype=bool)])
-rho_h = cross_path_coherence(ltraj.h[half:])
+rho_h = cross_path_coherence(traj.h[half:])
 off_h = np.abs(rho_h.rho[~np.eye(64, dtype=bool)])
 print("  tap coherence (held-out half):        max off-diagonal "
       f"{off_h.max():.3f}, median {np.median(off_h):.3f}")

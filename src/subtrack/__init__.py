@@ -1,16 +1,16 @@
 """Subspace Kalman tracking of correlated time-varying channels.
 
-A numpy-only library: synthetic channel generators with ground truth, the
-spectral/Yule-Walker numerics, an LMS coarse estimator, a recursive subspace
-tracker, forward and backward Kalman recursions with per-step model re-fits,
-two-filter fusion, and an experiment harness (``subtrack`` CLI).
+A numpy-only library: a synthetic low-rank AR channel generator with ground
+truth, the spectral/Yule-Walker numerics, an LMS coarse estimator, a
+recursive subspace tracker, forward and backward Kalman recursions with
+per-step model re-fits, two-filter fusion, and an experiment harness
+(``subtrack`` CLI).
 """
 
-from .channel_sim import (ChannelTrajectory, ObservationSequence, PathSet,
-                          PulseShape, SimConfig, SimGroundTruth, gen_symbols,
-                          generate_observations, latent_trajectory,
-                          noise_variance_for_snr, symbol_windows,
-                          synth_latent_channel, synth_physical_channel)
+from .channel_sim import (ChannelTrajectory, ObservationSequence, SimConfig,
+                          SimGroundTruth, gen_symbols, generate_observations,
+                          latent_trajectory, noise_variance_for_snr,
+                          symbol_windows, synth_latent_channel)
 from .coarse_est import (CoarseModel, autocorrelation_table, build_initial_model,
                          estimate_channel_covariance,
                          estimate_component_autocorrelation,

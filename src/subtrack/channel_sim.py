@@ -1,15 +1,10 @@
-"""Synthetic correlated time-varying channel generators.
+"""Synthetic correlated time-varying channel generator.
 
-Two generators with full ground truth:
-
-* a physical one -- multipath arrivals with drifting amplitudes/delays pushed
-  through a band-limited pulse, so off-grid delays smear energy over adjacent
-  taps (the mechanism that correlates taps in the first place);
-* a latent one -- a low-rank trajectory ``h(n) = Q(n) z(n)`` where the
-  components ``z`` follow independent AR(1) recursions and the basis ``Q``
-  rotates slowly in a fixed random plane.  This matches the tracker's own
-  model class, with controllable mismatch (basis rotation, drifting AR
-  coefficients).
+The generator gives full ground truth: a low-rank trajectory
+``h(n) = Q(n) z(n)`` where the components ``z`` follow independent AR(1)
+recursions and the basis ``Q`` rotates slowly in a fixed random plane.  This
+matches the tracker's own model class, with controllable mismatch (basis
+rotation, drifting AR coefficients).
 
 Plus the training-symbol generator and the received-signal synthesizer.
 All randomness is driven by explicit seeds; identical inputs give
@@ -27,86 +22,6 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.s
 # Each preset's basis rotation per step (omega_q) and AR-coefficient drift.
 _PRESETS = {"calm": {"omega_q": 2e-4, "phi_drift": 0.0},
             "rough": {"omega_q": 2e-3, "phi_drift": 0.05}}
-
-
-@dataclass
-class PulseShape:
-    """Combined transmit/receive filter sampled once per tap interval.
-
-    ``taps[j]`` is the pulse value ``j - (len(taps)-1)/2`` tap intervals from
-    the peak, i.e. the sample grid is centered on the pulse peak.  Off-grid
-    evaluation uses band-limited (sinc) interpolation of these samples.
-    """
-
-    taps: np.ndarray
-    span_symbols: int
-
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.complex128).reshape(-1)
-        if self.taps.size == 0 or not np.any(self.taps):
-            raise InvalidInputError("PulseShape: need at least one nonzero tap")
-        if not np.isfinite(self.taps).all():
-            raise InvalidInputError("PulseShape: non-finite taps")
-        if self.span_symbols < 1:
-            raise InvalidInputError("PulseShape: span_symbols must be >= 1")
-
-    @property
-    def energy(self) -> float:
-        return float(np.sum(np.abs(self.taps) ** 2))
-
-    def evaluate(self, offsets: np.ndarray) -> np.ndarray:
-        """Band-limited pulse value at ``offsets`` (in units of the tap interval)."""
-        offsets = np.atleast_1d(np.asarray(offsets, dtype=np.float64))
-        center = 0.5 * (self.taps.size - 1)
-        grid = np.arange(self.taps.size) - center
-        return np.sinc(offsets[..., np.newaxis] - grid) @ self.taps
-
-    @classmethod
-    def impulse(cls) -> "PulseShape":
-        return cls(taps=np.array([1.0 + 0.0j]), span_symbols=1)
-
-    @classmethod
-    def raised_cosine(cls, span_symbols: int = 8, rolloff: float = 0.25,
-                      width_symbols: float = 2.0) -> "PulseShape":
-        """Raised-cosine pulse stretched to ``width_symbols`` tap intervals.
-
-        A width larger than one models a filter narrower than the tap rate,
-        which is what spreads one arrival over several taps.
-        """
-        center = 0.5 * (span_symbols - 1)
-        t = (np.arange(span_symbols) - center) / width_symbols
-        with np.errstate(divide="ignore", invalid="ignore"):
-            taps = np.sinc(t) * np.cos(np.pi * rolloff * t) / (1.0 - (2.0 * rolloff * t) ** 2)
-        # De L'Hopital value at the rolloff singularity |2*rolloff*t| == 1.
-        singular = np.isclose(np.abs(2.0 * rolloff * t), 1.0)
-        taps[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-        return cls(taps=taps.astype(np.complex128), span_symbols=span_symbols)
-
-
-@dataclass
-class PathSet:
-    """Multipath arrivals: per-path amplitude and delay trajectories.
-
-    ``amplitudes`` is (M, N) complex and ``delays`` is (M, N), counted in tap
-    intervals.
-    """
-
-    amplitudes: np.ndarray
-    delays: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.atleast_2d(np.asarray(self.amplitudes, dtype=np.complex128))
-        self.delays = np.atleast_2d(np.asarray(self.delays, dtype=np.float64))
-        if self.amplitudes.shape != self.delays.shape:
-            raise InvalidInputError(
-                f"PathSet: amplitude shape {self.amplitudes.shape} != delay shape "
-                f"{self.delays.shape}")
-        if self.delays.size and np.min(self.delays) < 0:
-            raise InvalidInputError("PathSet: delays must be nonnegative")
-
-    @property
-    def n_paths(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 @dataclass
@@ -164,7 +79,9 @@ class SimConfig:
     coefficients fixed and barely rotates the basis, "rough" rotates the basis
     ten times faster and drifts every AR coefficient down by ``phi_drift``
     over the run.  ``omega_q`` and ``phi_drift`` left at ``None`` take the
-    preset's values; a value given explicitly wins.
+    preset's values; a value given explicitly wins.  The basis rotates in a
+    plane outside its own span, so ``omega_q != 0`` needs
+    ``r_true + 2 <= n_taps``.
     """
 
     n_taps: int = 64
@@ -203,39 +120,13 @@ class SimConfig:
             if not np.isfinite(getattr(self, name)):
                 raise InvalidInputError(
                     f"SimConfig: {name} must be finite, got {getattr(self, name)}")
+        if self.omega_q != 0 and self.r_true + 2 > self.n_taps:
+            raise InvalidInputError(
+                f"SimConfig: a rotating basis (omega_q != 0) needs r_true + 2 <= n_taps, "
+                f"got r_true {self.r_true}, n_taps {self.n_taps}")
         if not 0 <= self.power_decay < np.inf:
             raise InvalidInputError(
                 f"SimConfig: power_decay must be finite and >= 0, got {self.power_decay}")
-
-
-def synth_physical_channel(paths: PathSet, pulse: PulseShape,
-                           cfg: SimConfig) -> ChannelTrajectory:
-    """Superpose pulse-shaped multipath arrivals into a tap trajectory.
-
-    ``h[n, k] = sum_m A_m(n) * g(k - tau_m(n))`` with ``g`` the band-limited
-    interpolation of the pulse taps and delays in tap intervals.  Delays must
-    stay within ``[0, K - span]`` so the pulse main lobe fits the tap window.
-    """
-    n_steps, n_taps = cfg.n_steps, cfg.n_taps
-    if paths.n_paths and paths.amplitudes.shape[1] != n_steps:
-        raise InvalidInputError(
-            f"synth_physical_channel: paths give {paths.amplitudes.shape[1]} steps, "
-            f"config wants {n_steps}")
-    h = np.zeros((n_steps, n_taps), dtype=np.complex128)
-    if paths.n_paths == 0:
-        return ChannelTrajectory(h=h)
-
-    max_delay = n_taps - pulse.span_symbols
-    if np.min(paths.delays) < 0 or np.max(paths.delays) > max_delay:
-        raise InvalidInputError(
-            f"synth_physical_channel: delays must lie in [0, {max_delay}] "
-            f"(= n_taps - span)")
-
-    k_grid = np.arange(n_taps, dtype=np.float64)
-    for m in range(paths.n_paths):
-        offsets = k_grid[np.newaxis, :] - paths.delays[m][:, np.newaxis]
-        h += paths.amplitudes[m][:, np.newaxis] * pulse.evaluate(offsets)
-    return ChannelTrajectory(h=h)
 
 
 def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,

@@ -228,9 +228,12 @@ def _parse_ranks(raw: str):
         if "-" in part:
             lo, hi = part.split("-", 1)
             try:
-                ranks.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             except ValueError:
                 raise ConfigError(f"--ranks: bad range {part!r}") from None
+            if hi < lo:
+                raise ConfigError(f"--ranks: descending range {part!r}")
+            ranks.extend(range(lo, hi + 1))
         else:
             try:
                 ranks.append(int(part))

@@ -32,9 +32,6 @@ from .channel_sim import SimConfig
 from .errors import ConfigError
 from .pipeline import ALGORITHMS, TrackerConfig
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
 
 @dataclass
 class RunConfig:
@@ -58,12 +55,10 @@ class ExperimentConfig:
 
 
 def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
 
 
 def _parse_seeds(raw: str) -> tuple:

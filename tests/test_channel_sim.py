@@ -3,11 +3,10 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from subtrack.channel_sim import (ChannelTrajectory, PathSet, PulseShape,
-                                  SimConfig, gen_symbols,
+from subtrack.channel_sim import (ChannelTrajectory, SimConfig, gen_symbols,
                                   generate_observations, latent_trajectory,
                                   noise_variance_for_snr, symbol_windows,
-                                  synth_latent_channel, synth_physical_channel)
+                                  synth_latent_channel)
 from subtrack.errors import InvalidInputError
 
 
@@ -15,80 +14,6 @@ def small_cfg(**kw):
     params = dict(n_taps=16, n_steps=200, n_train=60, r_true=3, seed=0)
     params.update(kw)
     return SimConfig(**params)
-
-
-# ---------------------------------------------------------------- physical
-def test_physical_zero_amplitudes():
-    cfg = small_cfg()
-    paths = PathSet(amplitudes=np.zeros((2, cfg.n_steps)),
-                    delays=np.full((2, cfg.n_steps), 3.0))
-    traj = synth_physical_channel(paths, PulseShape.impulse(), cfg)
-    assert not np.any(traj.h)
-
-
-def test_physical_on_grid_impulse():
-    cfg = small_cfg()
-    amp = 0.7 - 0.2j
-    paths = PathSet(amplitudes=np.full((1, cfg.n_steps), amp),
-                    delays=np.full((1, cfg.n_steps), 5.0))
-    traj = synth_physical_channel(paths, PulseShape.impulse(), cfg)
-    assert_allclose(traj.h[:, 5], amp, atol=1e-12)
-    off = np.delete(traj.h, 5, axis=1)
-    assert np.max(np.abs(off)) < 1e-12
-
-
-def test_physical_off_grid_matches_direct_interpolation():
-    cfg = small_cfg(n_steps=4, n_train=2)
-    pulse = PulseShape.raised_cosine(span_symbols=8)
-    delay = 3.5
-    paths = PathSet(amplitudes=np.ones((1, cfg.n_steps)),
-                    delays=np.full((1, cfg.n_steps), delay))
-    traj = synth_physical_channel(paths, pulse, cfg)
-
-    # Oracle: direct sinc-interpolation sum, written independently.
-    center = 0.5 * (pulse.taps.size - 1)
-    for k in range(cfg.n_taps):
-        want = sum(pulse.taps[j] * np.sinc((k - delay) - (j - center))
-                   for j in range(pulse.taps.size))
-        assert_allclose(traj.h[0, k], want, atol=1e-12)
-    assert np.min(np.abs(traj.h[0, 2:6])) > 1e-3  # energy spread over taps 2..5
-
-
-def test_physical_energy_conservation_off_grid():
-    cfg = small_cfg(n_taps=64, n_steps=3, n_train=2)
-    pulse = PulseShape.raised_cosine(span_symbols=12)
-    amp = 1.3 * np.exp(0.4j)
-    paths = PathSet(amplitudes=np.full((1, cfg.n_steps), amp),
-                    delays=np.full((1, cfg.n_steps), 26.37))
-    traj = synth_physical_channel(paths, pulse, cfg)
-    energy = np.sum(np.abs(traj.h[0]) ** 2)
-    want = abs(amp) ** 2 * pulse.energy
-    assert abs(energy - want) / want < 1e-3
-
-
-def test_physical_delay_bounds():
-    cfg = small_cfg()
-    paths = PathSet(amplitudes=np.ones((1, cfg.n_steps)),
-                    delays=np.full((1, cfg.n_steps), cfg.n_taps - 0.5))
-    with pytest.raises(InvalidInputError):
-        synth_physical_channel(paths, PulseShape.raised_cosine(), cfg)
-
-
-def test_physical_cross_tap_coherence():
-    from subtrack.metrics import cross_path_coherence
-    cfg = small_cfg(n_taps=32, n_steps=4000)
-    rng = np.random.default_rng(9)
-    amp = (rng.standard_normal(cfg.n_steps) + 1j * rng.standard_normal(cfg.n_steps))
-    paths = PathSet(amplitudes=amp[np.newaxis, :],
-                    delays=np.full((1, cfg.n_steps), 10.4))
-    traj = synth_physical_channel(paths, PulseShape.raised_cosine(span_symbols=8), cfg)
-    rho = cross_path_coherence(traj.h).rho
-    assert abs(rho[10, 11]) > 0.5  # adjacent taps under one path stay coherent
-
-
-def test_pulse_needs_energy():
-    with pytest.raises(InvalidInputError):
-        PulseShape(taps=np.zeros(4), span_symbols=4)
 
 
 # ------------------------------------------------------------------ latent

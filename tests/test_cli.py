@@ -204,6 +204,17 @@ def test_sweep_rank_exit_2_before_running(tmp_path):
     assert not (out / "rank_sweep.csv").exists()
 
 
+def test_descending_rank_range_is_a_config_error(tmp_path, capsys):
+    assert cli._parse_ranks("3-3,1-2") == [3, 1, 2]
+    with pytest.raises(ConfigError, match="'12-8'"):
+        cli._parse_ranks("4,12-8")
+    out = tmp_path / "out"
+    assert run_cli(["sweep-rank", *SMALL, "--seed", "1", "--out", out,
+                    "--ranks", "4,12-8", "--algo", "asrmae"]) == 2
+    assert "12-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coherence_and_spectrum_commands(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["coherence", *SMALL, "--seed", "1", "--out", out]) == 0
@@ -298,13 +309,23 @@ def test_cir_csv_loader_one_based_grid(tmp_path):
     assert np.array_equal(traj.h, np.arange(3)[:, None] + 1j * np.arange(2))
 
 
-@pytest.mark.parametrize("body", ["0,0,1.0,0.0\n1,0,abc,0.0", "0,0,1.0,0.0\n1,0,0.5",
-                                  "0,0,1.0\n1,0,0.5"],
-                         ids=["malformed-cell", "short-row", "every-row-short"])
-def test_cir_csv_loader_bad_rows_are_config_errors(tmp_path, body):
+NON_FINITE_IN_ROW_2 = r"non-finite cell in data row 2\b"
+
+
+@pytest.mark.parametrize("body,match", [
+    ("0,0,1.0,0.0\n1,0,abc,0.0", None),
+    ("0,0,1.0,0.0\n1,0,0.5", None),
+    ("0,0,1.0\n1,0,0.5", None),
+    ("0,0,1.0,0.0\n1,0,inf,0.0", NON_FINITE_IN_ROW_2),
+    ("0,0,1.0,0.0\n1,0,nan,0.0", NON_FINITE_IN_ROW_2),
+    ("0,0,1.0,0.0\n1,0,0.5,-inf\n0,1,nan,0.0", NON_FINITE_IN_ROW_2),
+    ("0,0,1.0,0.0\nnan,0,0.5,0.0", NON_FINITE_IN_ROW_2),
+], ids=["malformed-cell", "short-row", "every-row-short", "inf-cell", "nan-cell",
+        "first-of-two-non-finite", "non-finite-index"])
+def test_cir_csv_loader_bad_rows_are_config_errors(tmp_path, body, match):
     path = tmp_path / "cir.csv"
     path.write_text(f"n,k,h_re,h_im\n{body}\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         load_cir_csv(path)
     assert run_cli(["run", "--override", f"run.cir_csv={path}", "--seed", "0",
                     "--out", tmp_path / "out", "--algos", "asrmae"]) == 2
@@ -499,7 +520,7 @@ OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.m
                 "tracker.floor_db=nan", "tracker.floor_db=inf",
                 "sim.snr_db=nan", "sim.snr_db=-inf", "sim.omega_q=nan",
                 "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1",
-                "sim.preset=stormy"]
+                "sim.preset=stormy", "sim.r_true=63", "sim.r_true=64"]
 
 
 def in_section(section):
@@ -530,9 +551,12 @@ def test_reorth_period_zero_still_means_never():
     assert load_config(None, ["tracker.reorth_period=0"]).tracker.reorth_period == 0
 
 
-@pytest.mark.parametrize("override", ["sim.snr_db=inf", "sim.power_decay=0"])
+# A rotating basis needs r_true + 2 <= n_taps (12 here); a fixed one takes every tap.
+@pytest.mark.parametrize("override", ["sim.snr_db=inf", "sim.power_decay=0", "sim.r_true=10",
+                                      "sim.omega_q=0 sim.r_true=12"])
 def test_edge_sim_values_still_run(tmp_path, override):
-    assert run_cli(["run", *SMALL, "--override", override, "--seed", "0",
+    overrides = [arg for item in override.split() for arg in ("--override", item)]
+    assert run_cli(["run", *SMALL, *overrides, "--seed", "0",
                     "--out", tmp_path / "out"]) == 0
 
 
