@@ -55,9 +55,10 @@ class SimGroundTruth:
     phi_true: np.ndarray      # (N, r) AR(1) coefficients per step
 
 
-@dataclass
+@dataclass(eq=False)
 class ObservationSequence:
-    """Received scalar sequence with the symbol windows that produced it."""
+    """Received scalar sequence with the symbol windows that produced it; the
+    record is hashed by identity and its arrays are made read-only."""
 
     r: np.ndarray         # (N,) complex received samples
     d: np.ndarray         # (N, K) complex sliding symbol windows, newest first
@@ -69,6 +70,8 @@ class ObservationSequence:
             raise InvalidInputError(f"ObservationSequence: sigma_v2 {self.sigma_v2} < 0")
         if len(self.r) != self.d.shape[0]:
             raise InvalidInputError("ObservationSequence: r and d lengths differ")
+        self.r.flags.writeable = False
+        self.d.flags.writeable = False
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .csvio import file_digest, load_cir_csv, write_csv
 from .errors import ConfigError, SubtrackError
 from .linalg_spectral import evd_hermitian, truncate_subspace
 from .metrics import cross_path_coherence, eigenvalue_spectrum
-from .pipeline import ALGORITHMS, shared_front_end
+from .pipeline import ALGORITHMS
 
 SYMBOL_SEED_OFFSET = 1_000_000
 NOISE_SEED_OFFSET = 2_000_000
@@ -66,16 +66,17 @@ def _check_record(traj, ranks, n_train: int) -> None:
 
 def _track(cfg: ExperimentConfig, jobs, keep) -> dict:
     """Run each ``(key, algo, tracker config)`` job on every seed, seed by seed,
-    sharing one front end per seed; returns ``keep(key, seed, result)`` by
-    ``(key, seed)``.  A replayed record is loaded once for all seeds."""
+    on one record (so one front end) per seed; returns ``keep(key, seed, result)``
+    by ``(key, seed)``.  A replayed record is loaded once for all seeds."""
     record = load_cir_csv(cfg.run.cir_csv) if cfg.run.cir_csv else None
     results = {}
     for seed in cfg.run.seeds:
         traj, obs = _simulate(cfg, seed, record)
         _check_record(traj, [job_cfg.rank for _, _, job_cfg in jobs], cfg.tracker.n_train)
-        with shared_front_end():
-            for key, algo, job_cfg in jobs:
-                results[key, seed] = keep(key, seed, ALGORITHMS[algo](obs, job_cfg))
+        for key, algo, job_cfg in jobs:
+            results[key, seed] = keep(key, seed, ALGORITHMS[algo](obs, job_cfg))
+        # The record, and with it its front end, goes before the next seed's.
+        del traj, obs
     return results
 
 

@@ -69,10 +69,10 @@ def file_digest(path) -> str:
 def load_cir_csv(path) -> ChannelTrajectory:
     """Load a recorded tap trajectory from columns (n, k, h_re, h_im).
 
-    Step and tap indices must form a complete 0-based (or 1-based) grid.  The
-    numeric rows are parsed by numpy; a bad header, a non-numeric or
-    non-finite cell or a row without exactly four cells is a ``ConfigError``,
-    and so is a file that cannot be read.
+    Step and tap indices must be integers on a complete 0- or 1-based grid.
+    The numeric rows are parsed by numpy; a bad header, a non-numeric or
+    non-finite cell, a fractional index or a row without exactly four cells
+    is a ``ConfigError``, and so is a file that cannot be read.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -92,13 +92,14 @@ def load_cir_csv(path) -> ChannelTrajectory:
     if data.shape[1] != len(expected):
         raise ConfigError(
             f"load_cir_csv: rows must have {len(expected)} cells, got {data.shape[1]}")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ConfigError(
-            f"load_cir_csv: {path}: non-finite cell in data row {row + 1}: {body[row]!r}")
-    n_idx = data[:, 0].astype(int)
-    k_idx = data[:, 1].astype(int)
+    index = data[:, :2]
+    for ok, what in ((np.isfinite(data).all(axis=1), "non-finite cell"),
+                     ((index == np.trunc(index)).all(axis=1), "non-integer index")):
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise ConfigError(
+                f"load_cir_csv: {path}: {what} in data row {row + 1}: {body[row]!r}")
+    n_idx, k_idx = index.astype(int).T
     base_n, base_k = n_idx.min(), k_idx.min()
     n_idx -= base_n
     k_idx -= base_k

@@ -9,17 +9,16 @@ flag reproduces the baseline bit for bit.
 
 The front end has one path: one LMS pass over the whole record, the coarse
 fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
-estimates.  Within :func:`shared_front_end` the runners share one LMS pass,
-one coarse fit per rank and one PAST-d pass for every rank.  The forward
+estimates.  While a record lives the runners share its LMS pass, one coarse
+fit per rank and one PAST-d pass for every rank.  The forward
 filter predicts through each step's model (``companion``,
 ``process_noise_star``); the reversed-time filter through the
 ``(transition, noise)`` pair :func:`~subtrack.kalman_core.backward_model`
 inverts from it.
 """
 
-import contextlib
-import contextvars
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,7 +36,7 @@ from .metrics import (DEFAULT_FLOOR_DB, cross_path_coherence, eigenvalue_spectru
 from .subspace_tracking import PastdTracker
 
 BACKWARD_PRIOR_SCALE = 1e3
-_SHARED = contextvars.ContextVar("subtrack_shared_front_end", default=None)
+_FRONT_ENDS = weakref.WeakKeyDictionary()  # record -> {key: front-end value}
 
 
 @dataclass
@@ -122,37 +121,30 @@ def _filter_noise_variance(cfg: TrackerConfig, obs: ObservationSequence,
     return max(value, floor, 1e-300)
 
 
-@contextlib.contextmanager
-def shared_front_end():
-    """Let the runners share LMS, the coarse fit and PAST-d on one record.
-
-    Inside the scope LMS and each coarse fit are built once per observation
-    object and setting they depend on, and PAST-d once per setting at the
-    widest rank asked for so far, which every narrower rank slices; results
-    are bit-identical to separate calls, except that a rank-1 slice differs
-    from a rank-1 pass by rounding (a (K, 1) basis column is contiguous, so
-    another BLAS kernel runs).  The observations must not change meanwhile.
-    The memo is per thread.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
+def _read_only(value):
+    """Mark ``value``'s arrays, and a dataclass's arrays at any depth, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif is_dataclass(value):
+        for item in fields(value):
+            _read_only(getattr(value, item.name))
+    return value
 
 
 def _shared(obs: ObservationSequence, key: tuple, build, reuse=lambda held: True):
-    """``build()``, or within :func:`shared_front_end` the value held under
-    ``key`` for ``obs`` when ``reuse`` accepts it."""
-    memo = _SHARED.get()
-    if memo is None:
-        return build()
-    key = (id(obs),) + key
+    """The value held under ``key`` for the record ``obs`` when ``reuse``
+    accepts it, else ``build()``'s, made read-only and held until ``obs`` goes.
+
+    Results are bit-identical to those on a fresh record, except that a rank-1
+    slice of a wider PAST-d pass differs from a rank-1 pass by rounding (a
+    (K, 1) basis column is contiguous, so another BLAS kernel runs).  Threads
+    sharing a record may each build a value; every build gives the same one.
+    """
+    memo = _FRONT_ENDS.setdefault(obs, {})
     held = memo.get(key)
-    if held is None or not reuse(held[1]):
-        # Holding obs keeps its id unique while the memo lives.
-        memo[key] = held = (obs, build())
-    return held[1]
+    if held is None or not reuse(held):
+        memo[key] = held = _read_only(build())
+    return held
 
 
 def _lms(obs: ObservationSequence, cfg: TrackerConfig) -> np.ndarray:

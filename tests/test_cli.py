@@ -101,9 +101,19 @@ def test_sweep_rank_shares_one_front_end_per_seed(tmp_path, monkeypatch, n_seeds
     assert {t.rank for t in trackers} == {4}
 
 
+def test_track_drops_each_record_before_the_next(tmp_path, monkeypatch):
+    # A record keeps its front end (PAST-d's (N, K, r) bases) while it lives.
+    held = []
+    real = cli._simulate
+    monkeypatch.setattr(cli, "_simulate",
+                        lambda *a: held.append(len(pipeline._FRONT_ENDS)) or real(*a))
+    assert run_cli(["run", *SMALL, "--seeds", "3", "--out", tmp_path / "out"]) == 0
+    assert held == [held[0]] * 3
+
+
 def test_sweep_rank_rows_match_standalone_runs(tmp_path):
     # Unsorted, with a repeated rank: rows keep the --ranks order, one block
-    # per occurrence, each equal to a run outside the shared front end.
+    # per occurrence, each equal to a standalone run on a fresh record.
     ranks = [2, 5, 1, 3, 5]
     out = tmp_path / "out"
     assert run_cli(["sweep-rank", *SMALL, "--seeds", "2", "--out", out,
@@ -115,14 +125,15 @@ def test_sweep_rank_rows_match_standalone_runs(tmp_path):
     expected = []
     for rank in ranks:
         job = dataclasses.replace(cfg.tracker, rank=rank)
-        errs = [pipeline.run_dfb_asrmae(obs, job).mean_err_db for obs in sims]
+        errs = [pipeline.run_dfb_asrmae(dataclasses.replace(obs), job).mean_err_db
+                for obs in sims]
         expected += [[rank, seed, err] for seed, err in zip(cfg.run.seeds, errs)]
         expected.append([rank, "all", float(np.mean(errs))])
     assert [row[:2] for row in rows] == [row[:2] for row in expected]
     for row, want in zip(rows, expected):
         if row[0] == 1:
-            # A rank-1 slice of the shared PAST-d pass differs from a rank-1
-            # pass by rounding (see pipeline.shared_front_end).
+            # A rank-1 slice of the record's widest PAST-d pass differs from a
+            # rank-1 pass by rounding (see pipeline._shared).
             assert row[2] == pytest.approx(want[2], rel=1e-12)
         else:
             assert row[2] == want[2], row
@@ -310,6 +321,7 @@ def test_cir_csv_loader_one_based_grid(tmp_path):
 
 
 NON_FINITE_IN_ROW_2 = r"non-finite cell in data row 2\b"
+NON_INTEGER_IN_ROW_2 = r"non-integer index in data row 2\b"
 
 
 @pytest.mark.parametrize("body,match", [
@@ -320,8 +332,11 @@ NON_FINITE_IN_ROW_2 = r"non-finite cell in data row 2\b"
     ("0,0,1.0,0.0\n1,0,nan,0.0", NON_FINITE_IN_ROW_2),
     ("0,0,1.0,0.0\n1,0,0.5,-inf\n0,1,nan,0.0", NON_FINITE_IN_ROW_2),
     ("0,0,1.0,0.0\nnan,0,0.5,0.0", NON_FINITE_IN_ROW_2),
+    ("0,0,1,0\n1.7,0,1,0", NON_INTEGER_IN_ROW_2),
+    ("0,0,1,0\n0,0.5,1,0\n1,0,1,0\n1,1,1,0", NON_INTEGER_IN_ROW_2),
 ], ids=["malformed-cell", "short-row", "every-row-short", "inf-cell", "nan-cell",
-        "first-of-two-non-finite", "non-finite-index"])
+        "first-of-two-non-finite", "non-finite-index", "fractional-step",
+        "fractional-tap"])
 def test_cir_csv_loader_bad_rows_are_config_errors(tmp_path, body, match):
     path = tmp_path / "cir.csv"
     path.write_text(f"n,k,h_re,h_im\n{body}\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from subtrack.channel_sim import (SimConfig, gen_symbols, generate_observations,
                                   synth_latent_channel)
 from subtrack.errors import InvalidInputError, NumericError
 from subtrack.pipeline import (ALGORITHMS, TrackerConfig, run_asrmae,
-                               run_dfb_asrmae, run_lms, shared_front_end)
+                               run_dfb_asrmae, run_lms)
 
 
 def make_observations(preset="calm", seed=1, snr_db=20.0, **sim_kw):
@@ -163,21 +164,29 @@ def test_algorithm_registry():
     assert set(ALGORITHMS) == {"lms", "asrmae", "dfb_asrmae"}
 
 
-def test_shared_front_end_bit_identical_to_separate_runs():
+def fresh(obs):
+    """A new record with the same arrays, so with no front end of its own yet."""
+    return dataclasses.replace(obs)
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.h_tracked, b.h_tracked)
+    assert np.array_equal(a.xi, b.xi)
+    assert a.mean_err_db == b.mean_err_db
+
+
+def test_runs_on_one_record_bit_identical_to_fresh_records():
     _, _, obs, _ = make_observations(preset="rough")
     cfgs = [TrackerConfig(rank=6, n_train=500),
             TrackerConfig(rank=4, n_train=500, beta=0.995)]
     runs = [(algo, cfg) for cfg in cfgs for algo in ALGORITHMS]
-    alone = [ALGORITHMS[algo](obs, cfg) for algo, cfg in runs]
-    with shared_front_end():
-        shared = [ALGORITHMS[algo](obs, cfg) for algo, cfg in runs]
+    alone = [ALGORITHMS[algo](fresh(obs), cfg) for algo, cfg in runs]
+    shared = [ALGORITHMS[algo](obs, cfg) for algo, cfg in runs]
     for a, b in zip(alone, shared):
-        assert np.array_equal(a.h_tracked, b.h_tracked)
-        assert np.array_equal(a.xi, b.xi)
-        assert a.mean_err_db == b.mean_err_db
+        assert_same_result(a, b)
 
 
-def test_shared_front_end_memo_is_scoped(monkeypatch):
+def test_lms_built_once_per_record_and_mu(monkeypatch):
     import subtrack.pipeline as pipeline
 
     calls = []
@@ -186,17 +195,39 @@ def test_shared_front_end_memo_is_scoped(monkeypatch):
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     _, _, obs, _ = make_observations()
     cfg = TrackerConfig(rank=6, n_train=500)
-    with shared_front_end():
-        run_lms(obs, cfg)
-        run_asrmae(obs, cfg)
-        run_lms(obs, dataclasses.replace(cfg, mu=0.004))
+    run_lms(obs, cfg)
+    run_asrmae(obs, cfg)
+    run_lms(obs, cfg)
+    assert len(calls) == 1
+    run_lms(obs, dataclasses.replace(cfg, mu=0.004))
     assert len(calls) == 2
-    run_lms(obs, cfg)
-    run_lms(obs, cfg)
-    assert len(calls) == 4
+    run_lms(fresh(obs), cfg)
+    assert len(calls) == 3
 
 
-def test_shared_front_end_slices_one_pastd_pass_across_ranks(monkeypatch):
+def test_front_end_goes_with_its_record():
+    import subtrack.pipeline as pipeline
+
+    _, _, obs, _ = make_observations()
+    run_asrmae(obs, TrackerConfig(rank=6, n_train=500))
+    held = [weakref.ref(value) for value in pipeline._FRONT_ENDS[obs].values()]
+    assert len(held) == 3  # LMS, the coarse fit and PAST-d
+    del obs
+    assert [ref() for ref in held] == [None] * 3
+
+
+def test_record_and_front_end_are_read_only():
+    _, _, obs, _ = make_observations()
+    cfg = TrackerConfig(rank=6, n_train=500)
+    with pytest.raises(ValueError):
+        obs.r[0] = 0.0
+    h_lms = run_lms(obs, cfg).h_tracked
+    with pytest.raises(ValueError):
+        h_lms[0, 0] = 0.0
+    assert_same_result(run_asrmae(obs, cfg), run_asrmae(fresh(obs), cfg))
+
+
+def test_one_pastd_pass_sliced_across_ranks(monkeypatch):
     import subtrack.pipeline as pipeline
 
     built = []
@@ -207,15 +238,12 @@ def test_shared_front_end_slices_one_pastd_pass_across_ranks(monkeypatch):
     _, _, obs, _ = make_observations(preset="rough")
     # 4 builds a pass, 2 and 3 slice it, 6 needs a wider one, 5 slices that.
     cfgs = [TrackerConfig(rank=r, n_train=500) for r in (4, 2, 6, 3, 5)]
-    alone = [run_dfb_asrmae(obs, cfg) for cfg in cfgs]
+    alone = [run_dfb_asrmae(fresh(obs), cfg) for cfg in cfgs]
     built.clear()
-    with shared_front_end():
-        shared = [run_dfb_asrmae(obs, cfg) for cfg in cfgs]
+    shared = [run_dfb_asrmae(obs, cfg) for cfg in cfgs]
     assert built == [4, 6]
     for a, b in zip(alone, shared):
-        assert np.array_equal(a.h_tracked, b.h_tracked)
-        assert np.array_equal(a.xi, b.xi)
-        assert a.mean_err_db == b.mean_err_db
+        assert_same_result(a, b)
 
 
 @pytest.mark.parametrize("dynamic_phi", [False, True])
