@@ -81,10 +81,11 @@ class SimConfig:
     ``preset`` selects the slow/fast variation regime: "calm" keeps the AR
     coefficients fixed and barely rotates the basis, "rough" rotates the basis
     ten times faster and drifts every AR coefficient down by ``phi_drift``
-    over the run.  ``omega_q`` and ``phi_drift`` left at ``None`` take the
-    preset's values; a value given explicitly wins.  The basis rotates in a
-    plane outside its own span, so ``omega_q != 0`` needs
-    ``r_true + 2 <= n_taps``.
+    over the run.  ``omega_q`` and ``phi_drift`` are stored as given;
+    :meth:`variation` resolves them, a value left at ``None`` taking the
+    preset's, so a config copied with another ``preset`` takes that preset's
+    values.  The basis rotates in a plane outside its own span, so a nonzero
+    resolved ``omega_q`` needs ``r_true + 2 <= n_taps``.
     """
 
     n_taps: int = 64
@@ -103,9 +104,6 @@ class SimConfig:
     def __post_init__(self):
         if self.preset not in _PRESETS:
             raise InvalidInputError(f"SimConfig: unknown preset {self.preset!r}")
-        for name, value in _PRESETS[self.preset].items():
-            if getattr(self, name) is None:
-                setattr(self, name, value)
         if not 0 < self.n_train < self.n_steps:
             raise InvalidInputError(
                 f"SimConfig: need 0 < n_train < n_steps, got {self.n_train}, {self.n_steps}")
@@ -119,17 +117,22 @@ class SimConfig:
         if not self.snr_db > -np.inf:  # +inf is noise-free
             raise InvalidInputError(
                 f"SimConfig: snr_db must be a number above -inf, got {self.snr_db}")
-        for name in ("omega_q", "phi_drift"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidInputError(
-                    f"SimConfig: {name} must be finite, got {getattr(self, name)}")
-        if self.omega_q != 0 and self.r_true + 2 > self.n_taps:
+        variation = self.variation()
+        for name, value in variation.items():
+            if not np.isfinite(value):
+                raise InvalidInputError(f"SimConfig: {name} must be finite, got {value}")
+        if variation["omega_q"] != 0 and self.r_true + 2 > self.n_taps:
             raise InvalidInputError(
                 f"SimConfig: a rotating basis (omega_q != 0) needs r_true + 2 <= n_taps, "
                 f"got r_true {self.r_true}, n_taps {self.n_taps}")
         if not 0 <= self.power_decay < np.inf:
             raise InvalidInputError(
                 f"SimConfig: power_decay must be finite and >= 0, got {self.power_decay}")
+
+    def variation(self) -> dict:
+        """``omega_q`` and ``phi_drift`` as simulated: each as given, else the preset's."""
+        return {name: value if getattr(self, name) is None else getattr(self, name)
+                for name, value in _PRESETS[self.preset].items()}
 
 
 def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,
@@ -209,12 +212,14 @@ def synth_latent_channel(cfg: SimConfig):
         phi0 = np.array([cfg.phi_hi])
     noise_cov = np.diag(powers * (1.0 - phi0 ** 2)).astype(np.complex128)
 
-    if cfg.phi_drift != 0.0:
-        ramp = np.linspace(0.0, cfg.phi_drift, cfg.n_steps)
+    variation = cfg.variation()
+    if variation["phi_drift"] != 0.0:
+        ramp = np.linspace(0.0, variation["phi_drift"], cfg.n_steps)
         phi = np.clip(phi0[np.newaxis, :] - ramp[:, np.newaxis], 0.0, 1.0 - 1e-9)
     else:
         phi = phi0
-    return latent_trajectory(q0, plane, cfg.omega_q, phi, noise_cov, cfg.n_steps, rng)
+    return latent_trajectory(q0, plane, variation["omega_q"], phi, noise_cov,
+                             cfg.n_steps, rng)
 
 
 def gen_symbols(n_steps: int, seed: int = 0) -> np.ndarray:

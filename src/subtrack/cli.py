@@ -197,10 +197,12 @@ def _write_outputs(cfg, out_dir, started, tables, extra=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         write_csv(out / name, header, rows)
+    config = dataclasses.asdict(cfg)
+    config["sim"].update(cfg.sim.variation())
     manifest = {
         "tool": "subtrack",
         "version": __version__,
-        "config": dataclasses.asdict(cfg),
+        "config": config,
         "seeds": list(cfg.run.seeds),
         "wall_clock_s": time.time() - started,
         "created_unix": time.time(),

@@ -71,8 +71,9 @@ def load_cir_csv(path) -> ChannelTrajectory:
 
     Step and tap indices must be integers on a complete 0- or 1-based grid.
     The numeric rows are parsed by numpy; a bad header, a non-numeric or
-    non-finite cell, a fractional index or a row without exactly four cells
-    is a ``ConfigError``, and so is a file that cannot be read.
+    non-finite cell, a fractional index, an index too far from the others to
+    lie on a complete grid of the file's rows, or a row without exactly four
+    cells is a ``ConfigError``, and so is a file that cannot be read.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -93,16 +94,17 @@ def load_cir_csv(path) -> ChannelTrajectory:
         raise ConfigError(
             f"load_cir_csv: rows must have {len(expected)} cells, got {data.shape[1]}")
     index = data[:, :2]
+    base = index.min(axis=0)
+    # No index of a complete grid of these rows lies more than len - 1 past its base.
     for ok, what in ((np.isfinite(data).all(axis=1), "non-finite cell"),
-                     ((index == np.trunc(index)).all(axis=1), "non-integer index")):
+                     ((index == np.trunc(index)).all(axis=1), "non-integer index"),
+                     ((index <= base + (len(data) - 1)).all(axis=1),
+                      f"index off every complete grid of {len(data)} rows")):
         if not ok.all():
             row = int(np.argmin(ok))
             raise ConfigError(
                 f"load_cir_csv: {path}: {what} in data row {row + 1}: {body[row]!r}")
-    n_idx, k_idx = index.astype(int).T
-    base_n, base_k = n_idx.min(), k_idx.min()
-    n_idx -= base_n
-    k_idx -= base_k
+    n_idx, k_idx = (index - base).astype(int).T
     n_steps, n_taps = n_idx.max() + 1, k_idx.max() + 1
     if len(data) != n_steps * n_taps:
         raise ConfigError(

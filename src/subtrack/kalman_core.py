@@ -7,7 +7,9 @@ the forward update/prediction steps, the running autocorrelation table that
 feeds per-step re-fits of the transition model (one stacked Yule-Walker solve
 over all components per step), the reversed-time ``(transition, noise)`` pair
 of a model, and the two-filter combination of forward and backward filtered
-estimates, one step at a time (:func:`fb_combine`) or batched (:func:`fb_fuse`).
+estimates, one step at a time (:func:`fb_combine`) or batched over a stack of
+steps (:func:`fb_fuse`; the pipeline fuses one block of the backward sweep per
+call, so each call's singular-sum ridge covers only its own block).
 Every kernel takes and returns plain arrays: the update, prediction and
 combination kernels work on ``(mean, cov)``, and the prediction takes its
 transition matrix and stacked process noise directly.

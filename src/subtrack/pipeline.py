@@ -12,9 +12,14 @@ fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
 estimates.  While a record lives the runners share its LMS pass, one coarse
 fit per rank and one PAST-d pass for every rank.  The forward
 filter predicts through each step's model (``companion``,
-``process_noise_star``); the reversed-time filter through the
-``(transition, noise)`` pair :func:`~subtrack.kalman_core.backward_model`
-inverts from it.
+``process_noise_star``) and keeps only its coefficients, one ``phis`` array
+of shape (N, r, p), marking the steps where the model changed.  The
+reversed-time filter predicts through the ``(transition, noise)`` pair
+:func:`~subtrack.kalman_core.backward_model` inverts from a model rebuilt
+from ``phis`` at each of those steps.  The backward sweep holds one block of
+``_FUSION_BLOCK`` steps of its estimates and fuses each complete block with
+the forward ones (:func:`~subtrack.kalman_core.fb_fuse`), so it never holds
+a backward covariance per step.
 """
 
 import weakref
@@ -36,6 +41,7 @@ from .metrics import (DEFAULT_FLOOR_DB, cross_path_coherence, eigenvalue_spectru
 from .subspace_tracking import PastdTracker
 
 BACKWARD_PRIOR_SCALE = 1e3
+_FUSION_BLOCK = 256  # steps of backward estimates held at once
 _FRONT_ENDS = weakref.WeakKeyDictionary()  # record -> {key: front-end value}
 
 
@@ -203,9 +209,11 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     xi_fwd = np.empty(n_steps, dtype=np.complex128)
     means_f = np.empty((n_steps, dim), dtype=np.complex128)
     phi_traj = np.empty((n_steps, rank), dtype=np.float64)
-    # Only the backward pass and the fusion read these.
+    # Only the backward pass and the fusion read these.  changed[n]: steps n
+    # and n + 1 predict through different model objects.
     covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128) if fb_smoothing else None
-    prediction_models = []
+    phis = np.empty((n_steps, rank, order), dtype=np.complex128) if fb_smoothing else None
+    changed = np.zeros(n_steps, dtype=bool)
 
     mean = np.zeros(dim, dtype=np.complex128)
     cov = np.eye(dim, dtype=np.complex128) * float(np.mean(coarse.autocorr[:, 0].real))
@@ -217,38 +225,43 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         means_f[n] = mean
         if fb_smoothing:
             covs_f[n] = cov
-            prediction_models.append(model)
+            phis[n] = model.phi
         mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
         phi_traj[n] = np.abs(model.phi[:, 0])
         if dynamic_phi:
             running.update(mean[:rank])
             if n + 1 >= n_train:
-                model = predict_transition(running.table, order, rank, noise_cov,
+                refit = predict_transition(running.table, order, rank, noise_cov,
                                            previous=model)
+                changed[n] = refit is not model
+                model = refit
 
     if fb_smoothing:
-        means_b = np.empty((n_steps, dim), dtype=np.complex128)
-        covs_b = np.empty((n_steps, dim, dim), dtype=np.complex128)
+        block = min(_FUSION_BLOCK, n_steps)
+        means_b = np.empty((block, dim), dtype=np.complex128)
+        covs_b = np.empty((block, dim, dim), dtype=np.complex128)
+        fused = np.empty((n_steps, dim), dtype=np.complex128)
         mean = np.zeros(dim, dtype=np.complex128)
         cov = BACKWARD_PRIOR_SCALE * np.eye(dim, dtype=np.complex128)
-        forward = reverse = None  # the last model inverted, and its (trans, noise)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for n in range(n_steps - 1, -1, -1):
-                    mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
-                    means_b[n] = mean
-                    covs_b[n] = cov
-                    if n > 0:
-                        if prediction_models[n - 1] is not forward:
-                            forward = prediction_models[n - 1]
-                            reverse = backward_model(forward)
-                        mean, cov = kf_predict(mean, cov, *reverse)
-        except FloatingPointError as exc:
-            raise NumericError(
-                f"tracker: the backward pass failed at step {n} ({exc}); "
-                f"tracker.fb_smoothing=false runs the forward filter only") from None
-
-        fused = fb_fuse(means_f, covs_f, means_b, covs_b)
+        for lo in range((n_steps - 1) // block * block, -1, -block):
+            hi = min(lo + block, n_steps)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    for n in range(hi - 1, lo - 1, -1):
+                        mean, cov, _, _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
+                        means_b[n - lo] = mean
+                        covs_b[n - lo] = cov
+                        if n > 0:
+                            if n == n_steps - 1 or changed[n - 1]:
+                                reverse = backward_model(
+                                    ArTransitionModel(phis[n - 1], noise_cov))
+                            mean, cov = kf_predict(mean, cov, *reverse)
+            except FloatingPointError as exc:
+                raise NumericError(
+                    f"tracker: the backward pass failed at step {n} ({exc}); "
+                    f"tracker.fb_smoothing=false runs the forward filter only") from None
+            fused[lo:hi] = fb_fuse(means_f[lo:hi], covs_f[lo:hi],
+                                   means_b[:hi - lo], covs_b[:hi - lo])
         z_out = fused[:, :rank]
         xi_out = obs.r - np.einsum("nd,nd->n", rows, fused)
     else:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -66,16 +68,18 @@ def test_latent_rejects_bad_rank():
 def test_preset_parameters():
     calm = SimConfig(preset="calm")
     rough = SimConfig(preset="rough")
-    assert calm.omega_q == 2e-4 and calm.phi_drift == 0.0
-    assert rough.omega_q == 2e-3 and rough.phi_drift == 0.05
+    assert calm.variation() == {"omega_q": 2e-4, "phi_drift": 0.0}
+    assert rough.variation() == {"omega_q": 2e-3, "phi_drift": 0.05}
     assert SimConfig() == calm
 
 
 def test_explicit_variation_values_beat_the_preset():
     cfg = SimConfig(preset="rough", omega_q=0.0)
-    assert cfg.omega_q == 0.0 and cfg.phi_drift == 0.05
+    assert cfg.variation() == {"omega_q": 0.0, "phi_drift": 0.05}
     cfg = SimConfig(preset="calm", phi_drift=0.02)
-    assert cfg.omega_q == 2e-4 and cfg.phi_drift == 0.02
+    assert cfg.variation() == {"omega_q": 2e-4, "phi_drift": 0.02}
+    cfg = dataclasses.replace(SimConfig(omega_q=0.0), preset="rough")
+    assert cfg.variation() == {"omega_q": 0.0, "phi_drift": 0.05}
 
 
 def test_rough_preset_drifts_phi():
@@ -84,6 +88,15 @@ def test_rough_preset_drifts_phi():
     _, truth = synth_latent_channel(cfg)
     drop = truth.phi_true[0].real - truth.phi_true[-1].real
     assert_allclose(drop, 0.05, atol=1e-12)
+
+
+def test_replaced_preset_simulates_its_own_regime():
+    kw = dict(n_taps=16, n_steps=400, n_train=100, r_true=3, seed=1)
+    replaced = dataclasses.replace(SimConfig(**kw), preset="rough")
+    traj, truth = synth_latent_channel(replaced)
+    want_traj, want_truth = synth_latent_channel(SimConfig(preset="rough", **kw))
+    assert np.array_equal(traj.h, want_traj.h)
+    assert np.array_equal(truth.phi_true, want_truth.phi_true)
 
 
 # ----------------------------------------------------------------- symbols

@@ -145,6 +145,9 @@ def test_run_emits_expected_files_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [3]
     assert manifest["version"]
+    # The variation values simulated, not the None they were configured as.
+    assert manifest["config"]["sim"]["omega_q"] == 2e-4
+    assert manifest["config"]["sim"]["phi_drift"] == 0.0
     for name, digest in manifest["files"].items():
         assert file_digest(out / name) == digest
 
@@ -177,7 +180,7 @@ def test_config_file_round_trip(tmp_path):
         "[run]\nalgos = asrmae\nseeds = 2,5\nout_dir = somewhere\n")
     cfg = load_config(cfg_file)
     assert cfg.sim.n_taps == 24
-    assert cfg.sim.omega_q == 2e-3  # rough preset fills variation params
+    assert cfg.sim.variation()["omega_q"] == 2e-3  # rough preset fills variation params
     assert cfg.tracker.rank == 4
     assert cfg.tracker.n_train == 120  # inherited from sim section
     assert cfg.run.algos == ("asrmae",)
@@ -334,9 +337,11 @@ NON_INTEGER_IN_ROW_2 = r"non-integer index in data row 2\b"
     ("0,0,1.0,0.0\nnan,0,0.5,0.0", NON_FINITE_IN_ROW_2),
     ("0,0,1,0\n1.7,0,1,0", NON_INTEGER_IN_ROW_2),
     ("0,0,1,0\n0,0.5,1,0\n1,0,1,0\n1,1,1,0", NON_INTEGER_IN_ROW_2),
+    ("0,0,1,0\n0,1,1,0\n1e20,0,1,0\n1e20,1,1,0",
+     r"index off every complete grid of 4 rows in data row 3\b"),
 ], ids=["malformed-cell", "short-row", "every-row-short", "inf-cell", "nan-cell",
         "first-of-two-non-finite", "non-finite-index", "fractional-step",
-        "fractional-tap"])
+        "fractional-tap", "step-index-off-grid"])
 def test_cir_csv_loader_bad_rows_are_config_errors(tmp_path, body, match):
     path = tmp_path / "cir.csv"
     path.write_text(f"n,k,h_re,h_im\n{body}\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 import weakref
 
@@ -271,3 +272,38 @@ def test_eigen_spectrum_is_the_coarse_fit_covariance_spectrum():
     res = run_asrmae(obs, cfg)
     coarse = fit_coarse_model(lms_track(obs.d, obs.r, cfg.mu), 500, 6, 1, cfg.mu)
     assert np.array_equal(res.eigen_spectrum, eigenvalue_spectrum(coarse.channel_cov))
+
+
+def test_backward_sweep_stays_under_two_covariance_stacks():
+    # Rank 12 of 16 taps: the (N, d, d) forward covariances outweigh every
+    # other array the tracker allocates.
+    _, _, obs, _ = make_observations(preset="rough", n_taps=16, n_steps=3000,
+                                     n_train=600, r_true=12)
+    cfg = TrackerConfig(rank=12, n_train=600)
+    run_asrmae(obs, cfg)  # holds the record's front end
+    stack = 3000 * 12 * 12 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_dfb_asrmae(obs, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stack, peak / stack
+
+
+def test_block_fusion_matches_one_shot_fusion(monkeypatch):
+    import subtrack.pipeline as pipeline
+
+    block = pipeline._FUSION_BLOCK
+    for n_steps in (block - 1, block, block + 1, 2 * block + 3):
+        _, _, obs, _ = make_observations(preset="rough", n_taps=8, n_steps=n_steps,
+                                         n_train=100, r_true=3)
+        cfg = TrackerConfig(rank=3, n_train=100)
+        blocked = run_dfb_asrmae(obs, cfg)
+        monkeypatch.setattr(pipeline, "_FUSION_BLOCK", n_steps)
+        one_shot = run_dfb_asrmae(obs, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(blocked.components, one_shot.components), n_steps
+        assert np.array_equal(blocked.xi, one_shot.xi), n_steps
+        assert np.array_equal(blocked.h_tracked, one_shot.h_tracked), n_steps
