@@ -11,7 +11,7 @@ from .channel_sim import (ChannelTrajectory, ObservationSequence, SimConfig,
                           SimGroundTruth, gen_symbols, generate_observations,
                           latent_trajectory, noise_variance_for_snr,
                           symbol_windows, synth_latent_channel)
-from .coarse_est import (CoarseModel, autocorrelation_table, build_initial_model,
+from .coarse_est import (CoarseModel, autocorrelation_table,
                          estimate_channel_covariance,
                          estimate_component_autocorrelation,
                          estimate_process_noise_correlated, fit_coarse_model,

@@ -199,6 +199,7 @@ def _write_outputs(cfg, out_dir, started, tables, extra=None) -> dict:
         write_csv(out / name, header, rows)
     config = dataclasses.asdict(cfg)
     config["sim"].update(cfg.sim.variation())
+    del config["sim"]["seed"]  # the seeds run are listed under "seeds"
     manifest = {
         "tool": "subtrack",
         "version": __version__,

@@ -1,10 +1,10 @@
-"""Training-phase initialization: LMS estimate, covariance, AR-model fit.
+"""Training-phase initialization: LMS estimate, covariance, AR-coefficient fit.
 
 The chain runs: LMS coarse channel estimates -> time-invariant channel
 covariance -> dominant-subspace projection -> per-component autocorrelations
--> Yule-Walker fit of the transition model, plus two process-noise covariance
-estimates (diagonal from the Yule-Walker innovations, full from the fitted
-residuals).
+-> one stacked Yule-Walker fit of the AR coefficients, plus two process-noise
+covariance estimates (diagonal from the Yule-Walker innovations, full from the
+fitted residuals).  The trackers build their transition models from these.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
-from .kalman_core import ArTransitionModel
 from .linalg_spectral import evd_hermitian, solve_yule_walker, truncate_subspace
 
 LMS_DIVERGENCE_FACTOR = 1e6
@@ -26,7 +25,7 @@ class CoarseModel:
     basis: np.ndarray          # (K, r) dominant-subspace basis
     eigenvalues: np.ndarray    # (K,) descending covariance eigenvalues
     autocorr: np.ndarray       # (r, p+1) component autocorrelation table
-    model: ArTransitionModel   # transition model with diagonal noise
+    phi: np.ndarray            # (r, p) AR coefficients, phi[i, l-1] at lag l
     noise_diag: np.ndarray     # (r, r) diagonal process-noise covariance
     noise_full: np.ndarray     # (r, r) correlated process-noise covariance
 
@@ -115,24 +114,6 @@ def autocorrelation_table(z_seq: np.ndarray, order: int, n_train: int) -> np.nda
     return np.stack(cols, axis=1)
 
 
-def build_initial_model(autocorr: np.ndarray, order: int, rank: int):
-    """Fit every component's AR model in one stacked Yule-Walker solve and
-    assemble the stacked transition model.
-
-    Returns ``(model, noise_diag)``: the companion-form transition model whose
-    process noise is the diagonal matrix of fitted innovation variances, and
-    that diagonal matrix itself.
-    """
-    autocorr = np.asarray(autocorr, dtype=np.complex128)
-    if autocorr.shape != (rank, order + 1):
-        raise InvalidInputError(
-            f"build_initial_model: table shape {autocorr.shape} != ({rank}, {order + 1})")
-    sol = solve_yule_walker(autocorr, order)
-    noise_diag = np.diag(sol.noise_variance).astype(np.complex128)
-    model = ArTransitionModel(phi=sol.phi, noise_cov=noise_diag)
-    return model, noise_diag
-
-
 def estimate_process_noise_correlated(z_seq: np.ndarray, phi: np.ndarray,
                                       n_train: int) -> np.ndarray:
     """Full process-noise covariance from the AR-model fit residuals.
@@ -185,8 +166,9 @@ def fit_coarse_model(h_lms: np.ndarray, n_train: int, rank: int, order: int,
     basis = truncate_subspace(dec, rank)
     z_lms = project_components(window, basis)
     table = autocorrelation_table(z_lms, order, n_window)
-    model, noise_diag = build_initial_model(table, order, rank)
-    noise_full = estimate_process_noise_correlated(z_lms, model.phi, n_window)
+    sol = solve_yule_walker(table, order)
+    noise_full = estimate_process_noise_correlated(z_lms, sol.phi, n_window)
     return CoarseModel(channel_cov=cov, basis=basis, eigenvalues=dec.eigenvalues,
-                       autocorr=table, model=model, noise_diag=noise_diag,
+                       autocorr=table, phi=sol.phi,
+                       noise_diag=np.diag(sol.noise_variance).astype(np.complex128),
                        noise_full=noise_full)

@@ -15,10 +15,10 @@ types::
     seeds = 5
     out_dir = results
 
-The keys of each section are the fields of ``SimConfig``, ``TrackerConfig``
-and ``RunConfig``, and each value is parsed by its field's type.  Unknown
-sections or keys are hard errors, as are malformed values; silent typos would
-invalidate comparisons.
+The keys of each section are the fields of ``SimConfig`` (but ``seed``: the
+seeds run are ``run.seeds``), ``TrackerConfig`` and ``RunConfig``, and each
+value is parsed by its field's type.  Unknown sections or keys are hard
+errors, as are malformed values; silent typos would invalidate comparisons.
 """
 
 import configparser
@@ -104,6 +104,7 @@ def _field_types(cls) -> dict:
 
 _FIELD_TYPES = {"sim": _field_types(SimConfig), "tracker": _field_types(TrackerConfig),
                 "run": _field_types(RunConfig)}
+del _FIELD_TYPES["sim"]["seed"]  # each run.seeds value replaces it
 _OWN_PARSERS = {"run.algos": _parse_algos, "run.seeds": _parse_seeds}
 
 

@@ -69,7 +69,8 @@ def file_digest(path) -> str:
 def load_cir_csv(path) -> ChannelTrajectory:
     """Load a recorded tap trajectory from columns (n, k, h_re, h_im).
 
-    Step and tap indices must be integers on a complete 0- or 1-based grid.
+    Step and tap indices must be consecutive integers on a complete grid;
+    each axis may start from any value, and its smallest index becomes 0.
     The numeric rows are parsed by numpy; a bad header, a non-numeric or
     non-finite cell, a fractional index, an index too far from the others to
     lie on a complete grid of the file's rows, or a row without exactly four

@@ -61,14 +61,8 @@ class ArTransitionModel:
             sub = np.arange(dim - rank)
             companion[rank + sub, sub] = 1.0
         self.companion = companion
-        if order == 1:
-            # Here the stacked noise is noise_cov itself; sharing the array
-            # spares each per-step model the backward pass keeps a copy.
-            self.process_noise_star = self.noise_cov
-        else:
-            star = np.zeros((dim, dim), dtype=np.complex128)
-            star[:rank, :rank] = self.noise_cov
-            self.process_noise_star = star
+        self.process_noise_star = np.zeros((dim, dim), dtype=np.complex128)
+        self.process_noise_star[:rank, :rank] = self.noise_cov
 
     @property
     def order(self) -> int:

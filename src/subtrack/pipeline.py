@@ -13,13 +13,13 @@ estimates.  While a record lives the runners share its LMS pass, one coarse
 fit per rank and one PAST-d pass for every rank.  The forward
 filter predicts through each step's model (``companion``,
 ``process_noise_star``) and keeps only its coefficients, one ``phis`` array
-of shape (N, r, p), marking the steps where the model changed.  The
-reversed-time filter predicts through the ``(transition, noise)`` pair
-:func:`~subtrack.kalman_core.backward_model` inverts from a model rebuilt
-from ``phis`` at each of those steps.  The backward sweep holds one block of
-``_FUSION_BLOCK`` steps of its estimates and fuses each complete block with
-the forward ones (:func:`~subtrack.kalman_core.fb_fuse`), so it never holds
-a backward covariance per step.
+of shape (N, r, p).  The reversed-time filter predicts through the
+``(transition, noise)`` pair :func:`~subtrack.kalman_core.backward_model`
+inverts from a model rebuilt from ``phis`` wherever the stored coefficients
+change.  The backward sweep holds one block of ``_FUSION_BLOCK`` steps of its
+estimates and fuses each complete block with the forward ones
+(:func:`~subtrack.kalman_core.fb_fuse`), so it never holds a backward
+covariance per step.
 """
 
 import weakref
@@ -202,18 +202,16 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
 
     h_lms, coarse, q_seq = _front_end(obs, cfg)
     noise_cov = coarse.noise_full if correlated_noise else coarse.noise_diag
-    model = ArTransitionModel(coarse.model.phi, noise_cov)
+    model = ArTransitionModel(coarse.phi, noise_cov)
     sigma = _filter_noise_variance(cfg, obs, h_lms)
 
     rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
     xi_fwd = np.empty(n_steps, dtype=np.complex128)
     means_f = np.empty((n_steps, dim), dtype=np.complex128)
     phi_traj = np.empty((n_steps, rank), dtype=np.float64)
-    # Only the backward pass and the fusion read these.  changed[n]: steps n
-    # and n + 1 predict through different model objects.
+    # Only the backward pass and the fusion read these.
     covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128) if fb_smoothing else None
     phis = np.empty((n_steps, rank, order), dtype=np.complex128) if fb_smoothing else None
-    changed = np.zeros(n_steps, dtype=bool)
 
     mean = np.zeros(dim, dtype=np.complex128)
     cov = np.eye(dim, dtype=np.complex128) * float(np.mean(coarse.autocorr[:, 0].real))
@@ -231,10 +229,8 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         if dynamic_phi:
             running.update(mean[:rank])
             if n + 1 >= n_train:
-                refit = predict_transition(running.table, order, rank, noise_cov,
+                model = predict_transition(running.table, order, rank, noise_cov,
                                            previous=model)
-                changed[n] = refit is not model
-                model = refit
 
     if fb_smoothing:
         block = min(_FUSION_BLOCK, n_steps)
@@ -252,7 +248,8 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
                         means_b[n - lo] = mean
                         covs_b[n - lo] = cov
                         if n > 0:
-                            if n == n_steps - 1 or changed[n - 1]:
+                            # phis[n] holds the coefficients last inverted.
+                            if n == n_steps - 1 or (phis[n - 1] != phis[n]).any():
                                 reverse = backward_model(
                                     ArTransitionModel(phis[n - 1], noise_cov))
                             mean, cov = kf_predict(mean, cov, *reverse)

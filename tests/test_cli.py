@@ -148,6 +148,7 @@ def test_run_emits_expected_files_and_manifest(tmp_path):
     # The variation values simulated, not the None they were configured as.
     assert manifest["config"]["sim"]["omega_q"] == 2e-4
     assert manifest["config"]["sim"]["phi_drift"] == 0.0
+    assert "seed" not in manifest["config"]["sim"]
     for name, digest in manifest["files"].items():
         assert file_digest(out / name) == digest
 
@@ -323,6 +324,15 @@ def test_cir_csv_loader_one_based_grid(tmp_path):
     assert np.array_equal(traj.h, np.arange(3)[:, None] + 1j * np.arange(2))
 
 
+def test_cir_csv_loader_grid_from_any_offset(tmp_path):
+    path = tmp_path / "cir.csv"
+    write_csv(path, ["n", "k", "h_re", "h_im"],
+              [[n, k, float(n), float(k)] for n in (5, 6) for k in (0, 1)])
+    traj = load_cir_csv(path)
+    assert traj.h.shape == (2, 2)
+    assert np.array_equal(traj.h, np.array([5, 6])[:, None] + 1j * np.arange(2))
+
+
 NON_FINITE_IN_ROW_2 = r"non-finite cell in data row 2\b"
 NON_INTEGER_IN_ROW_2 = r"non-integer index in data row 2\b"
 
@@ -443,7 +453,6 @@ CONFIG_KEYS = {
     ("sim", "n_steps"): ("4000", 4000, "many"),
     ("sim", "n_train"): ("500", 500, "1e3"),
     ("sim", "r_true"): ("4", 4, "four"),
-    ("sim", "seed"): ("7", 7, "0x"),
     ("sim", "snr_db"): ("15.5", 15.5, "loud"),
     ("sim", "phi_lo"): ("0.95", 0.95, "high"),
     ("sim", "phi_hi"): ("0.9999", 0.9999, "1..0"),
@@ -477,8 +486,9 @@ def test_config_keys_are_the_dataclass_fields():
     cfg = load_config()
     fields = {(section, f.name) for section in ("sim", "tracker", "run")
               for f in dataclasses.fields(getattr(cfg, section))}
-    assert set(CONFIG_KEYS) == fields
-    for key in ("sim.pulse_span", "sim.n_tapz", "tracker.ranks", "run.seed"):
+    # The seeds run come from run.seeds, so sim.seed is no key.
+    assert set(CONFIG_KEYS) == fields - {("sim", "seed")}
+    for key in ("sim.pulse_span", "sim.n_tapz", "tracker.ranks", "run.seed", "sim.seed"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(None, [f"{key}=1"])
 

@@ -4,13 +4,15 @@ from numpy.testing import assert_allclose
 
 from subtrack.channel_sim import gen_symbols, symbol_windows
 from subtrack.coarse_est import (autocorrelation_table,
-                                 build_initial_model,
                                  estimate_channel_covariance,
                                  estimate_component_autocorrelation,
                                  estimate_process_noise_correlated,
-                                 lms_residuals, lms_track, project_components)
+                                 fit_coarse_model, lms_residuals, lms_track,
+                                 project_components)
 from subtrack.errors import DivergenceError, InvalidInputError
-from subtrack.linalg_spectral import evd_hermitian, truncate_subspace
+from subtrack.kalman_core import ArTransitionModel
+from subtrack.linalg_spectral import (evd_hermitian, solve_yule_walker,
+                                      truncate_subspace)
 
 
 def ar1_samples(phi, n, rng, power=1.0):
@@ -147,9 +149,16 @@ def test_autocorr_divisor_stays_fixed():
 
 
 # ------------------------------------------------------------ model fitting
+def initial_model(table, order):
+    """The training fit's transition model and its diagonal innovation noise."""
+    sol = solve_yule_walker(table, order)
+    noise = np.diag(sol.noise_variance).astype(complex)
+    return ArTransitionModel(sol.phi, noise), noise
+
+
 def test_build_initial_model_order1_diagonal():
     table = np.array([[1.0, 0.9], [2.0, 1.0]], dtype=complex)
-    model, noise = build_initial_model(table, 1, 2)
+    model, noise = initial_model(table, 1)
     assert_allclose(model.companion, np.diag([0.9, 0.5]), atol=1e-14)
     assert_allclose(np.diag(noise).real, [1 - 0.81, 2 - 0.5], atol=1e-12)
 
@@ -158,7 +167,7 @@ def test_build_initial_model_order2_companion_layout():
     phi1, phi2 = 0.5, 0.3
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    model, _ = build_initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2, 1)
+    model, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
     want = np.array([[phi1, phi2], [1.0, 0.0]])
     assert_allclose(model.companion, want, atol=1e-10)
 
@@ -167,7 +176,7 @@ def test_companion_eigenvalues_match_polynomial_roots():
     phi1, phi2 = 0.4, 0.25
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    model, _ = build_initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2, 1)
+    model, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
     eigs = np.sort_complex(np.linalg.eigvals(model.companion))
     roots = np.sort_complex(np.roots([1.0, -phi1, -phi2]))
     assert_allclose(eigs, roots, atol=1e-10)
@@ -177,9 +186,20 @@ def test_order1_coefficient_magnitude_identity():
     rng = np.random.default_rng(9)
     z = ar1_samples(0.85, 4000, rng)[:, np.newaxis]
     table = autocorrelation_table(z, 1, 4000)
-    model, _ = build_initial_model(table, 1, 1)
+    model, _ = initial_model(table, 1)
     want = abs(table[0, 1]) / table[0, 0].real
     assert_allclose(abs(model.phi[0, 0]), want, atol=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_coarse_fit_coefficients_are_its_table_yule_walker_fit(order):
+    rng = np.random.default_rng(11)
+    h = np.stack([ar1_samples(0.95, 1000, rng) for _ in range(6)], axis=1)
+    coarse = fit_coarse_model(h, 1000, 3, order, 0.01)
+    sol = solve_yule_walker(coarse.autocorr, order)
+    assert coarse.phi.shape == (3, order)
+    assert np.array_equal(coarse.phi, sol.phi)
+    assert np.array_equal(coarse.noise_diag, np.diag(sol.noise_variance))
 
 
 # ------------------------------------------------------------ process noise

@@ -211,12 +211,14 @@ def test_autocorr_matches_batch_average():
 
 # -------------------------------------------------------- model re-fitting
 def test_predict_transition_consistent_with_training_fit():
-    from subtrack.coarse_est import autocorrelation_table, build_initial_model
+    from subtrack.coarse_est import autocorrelation_table
+    from subtrack.linalg_spectral import solve_yule_walker
     rng = np.random.default_rng(2)
     z = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
     table = autocorrelation_table(z, 1, 500)
-    model0, noise = build_initial_model(table, 1, 2)
-    refit = predict_transition(table, 1, 2, noise)
+    sol = solve_yule_walker(table, 1)
+    model0 = ArTransitionModel(sol.phi, np.diag(sol.noise_variance))
+    refit = predict_transition(table, 1, 2, model0.noise_cov)
     assert_allclose(refit.phi, model0.phi, atol=1e-12)
 
 

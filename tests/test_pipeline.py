@@ -187,6 +187,16 @@ def test_runs_on_one_record_bit_identical_to_fresh_records():
         assert_same_result(a, b)
 
 
+def test_set_sigma_v2_is_the_filter_noise_variance():
+    _, _, obs, _ = make_observations()
+    cfg = TrackerConfig(rank=6, n_train=500)
+    default = run_asrmae(obs, cfg)
+    same = run_asrmae(obs, dataclasses.replace(cfg, sigma_v2=obs.sigma_v2))
+    assert_same_result(default, same)
+    louder = run_asrmae(obs, dataclasses.replace(cfg, sigma_v2=10 * obs.sigma_v2))
+    assert not np.array_equal(default.xi, louder.xi)
+
+
 def test_lms_built_once_per_record_and_mu(monkeypatch):
     import subtrack.pipeline as pipeline
 
@@ -259,6 +269,7 @@ def test_backward_pass_inverts_each_distinct_model_once(monkeypatch, dynamic_phi
     cfg = TrackerConfig(rank=6, n_train=500, dynamic_phi=dynamic_phi)
     run_dfb_asrmae(obs, cfg)
     assert len({id(m) for m in inverted}) == len(inverted)
+    assert not any(np.array_equal(a.phi, b.phi) for a, b in zip(inverted, inverted[1:]))
     if not dynamic_phi:
         assert len(inverted) == 1
 
