@@ -85,7 +85,8 @@ class SimConfig:
     :meth:`variation` resolves them, a value left at ``None`` taking the
     preset's, so a config copied with another ``preset`` takes that preset's
     values.  The basis rotates in a plane outside its own span, so a nonzero
-    resolved ``omega_q`` needs ``r_true + 2 <= n_taps``.
+    resolved ``omega_q`` needs ``r_true + 2 <= n_taps``.  ``n_train`` is only
+    the tracker's default; the CLI checks it against the record it tracks.
     """
 
     n_taps: int = 64
@@ -104,9 +105,9 @@ class SimConfig:
     def __post_init__(self):
         if self.preset not in _PRESETS:
             raise InvalidInputError(f"SimConfig: unknown preset {self.preset!r}")
-        if not 0 < self.n_train < self.n_steps:
+        if not (self.n_steps >= 1 and self.n_train >= 1):
             raise InvalidInputError(
-                f"SimConfig: need 0 < n_train < n_steps, got {self.n_train}, {self.n_steps}")
+                f"SimConfig: n_steps and n_train must be >= 1, got {self.n_steps}, {self.n_train}")
         if not 1 <= self.r_true <= self.n_taps:
             raise InvalidInputError(
                 f"SimConfig: need 1 <= r_true <= n_taps, got {self.r_true}, {self.n_taps}")

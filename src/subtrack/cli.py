@@ -7,10 +7,11 @@ Subcommands::
     subtrack coherence  --config exp.cfg --out results
     subtrack spectrum   --config exp.cfg --out results
 
-Shared flags: ``--config PATH``, ``--seed N`` / ``--seeds N``, ``--out DIR``,
-``--algos LIST``, ``--preset calm|rough``, and repeatable
-``--override section.key=value``.  Exit codes: 0 success, 2 invalid
-configuration, 3 runtime/numeric failure, 4 output I/O failure.
+Shared flags: ``--config PATH``, ``--seed N``, ``--out DIR``, ``--preset
+calm|rough`` and repeatable ``--override section.key=value``; ``run`` and
+``sweep-rank`` also take ``--seeds N``, and ``run`` ``--algos LIST``.  Exit
+codes: 0 success, 2 invalid configuration, 3 runtime/numeric failure, 4 output
+I/O failure.
 """
 
 import argparse
@@ -81,9 +82,10 @@ def _track(cfg: ExperimentConfig, jobs, keep) -> dict:
 
 
 def _first_seed_channel(cfg: ExperimentConfig):
-    """The first seed's channel (simulated or replayed) and its sample covariance."""
+    """``cfg`` narrowed to its first seed, that seed's channel and its covariance."""
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, seeds=cfg.run.seeds[:1]))
     traj, _ = _simulate(cfg, cfg.run.seeds[0])
-    return traj, estimate_channel_covariance(traj.h, traj.n_steps)
+    return cfg, traj, estimate_channel_covariance(traj.h)
 
 
 def _coherence_table(matrix):
@@ -139,10 +141,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     if diag_algo is not None:
         diag = found[diag_algo, seeds[0]]
         if cfg.run.emit_phi_traj:
-            n, tap = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
+            n, comp = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
             tables["phi_traj.csv"] = (
-                ["n", "tap", "abs_phi"],
-                list(zip(n.tolist(), tap.tolist(), diag.phi_traj.ravel().tolist())))
+                ["n", "component", "abs_phi"],
+                list(zip(n.tolist(), comp.tolist(), diag.phi_traj.ravel().tolist())))
         if cfg.run.emit_coherence:
             for name, series in (("taps", diag.h_tracked), ("components", diag.components)):
                 tables[f"coherence_{name}.csv"] = _coherence_table(
@@ -174,7 +176,7 @@ def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
 def coherence_analysis(cfg: ExperimentConfig, out_dir) -> dict:
     """Tap and component coherence of one simulated (or replayed) channel."""
     started = time.time()
-    traj, cov = _first_seed_channel(cfg)
+    cfg, traj, cov = _first_seed_channel(cfg)
     basis = truncate_subspace(evd_hermitian(cov), min(cfg.tracker.rank, traj.n_taps))
     taps = cross_path_coherence(traj.h)
     comps = cross_path_coherence(traj.h @ basis.conj())
@@ -186,7 +188,7 @@ def coherence_analysis(cfg: ExperimentConfig, out_dir) -> dict:
 def spectrum_analysis(cfg: ExperimentConfig, out_dir) -> dict:
     """Normalized eigenvalue spectrum of one simulated (or replayed) channel."""
     started = time.time()
-    _, cov = _first_seed_channel(cfg)
+    cfg, _, cov = _first_seed_channel(cfg)
     return _write_outputs(cfg, out_dir, started,
                           {"eigenspectrum.csv": _spectrum_table(eigenvalue_spectrum(cov))})
 
@@ -255,26 +257,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeds=True):
         p.add_argument("--config", help="INI config file (sim/tracker/run sections)")
         p.add_argument("--seed", type=int, help="single seed to run")
-        p.add_argument("--seeds", type=int, help="number of seeds (0..N-1)")
+        if seeds:
+            p.add_argument("--seeds", type=int, help="number of seeds (0..N-1)")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--algos", help="comma list from {lms,asrmae,dfb_asrmae}")
         p.add_argument("--preset", choices=["calm", "rough"],
                        help="variation preset for the simulator")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override (repeatable)")
+        return p
 
-    common(sub.add_parser("run", help="track with every configured algorithm"))
-    sweep = sub.add_parser("sweep-rank", help="error as a function of subspace rank")
-    common(sweep)
+    run = common(sub.add_parser("run", help="track with every configured algorithm"))
+    run.add_argument("--algos", help="comma list from {lms,asrmae,dfb_asrmae}")
+    sweep = common(sub.add_parser("sweep-rank", help="error as a function of subspace rank"))
     sweep.add_argument("--ranks", default="1-20",
                        help="comma list / ranges, e.g. 1-20 or 4,8,12")
     sweep.add_argument("--algo", default="dfb_asrmae",
                        help="algorithm the sweep runs (default dfb_asrmae)")
-    common(sub.add_parser("coherence", help="tap/component coherence matrices"))
-    common(sub.add_parser("spectrum", help="normalized eigenvalue spectrum"))
+    common(sub.add_parser("coherence", help="tap/component coherence matrices"), seeds=False)
+    common(sub.add_parser("spectrum", help="normalized eigenvalue spectrum"), seeds=False)
     return parser
 
 
@@ -282,14 +285,15 @@ def _config_from_args(args) -> ExperimentConfig:
     overrides = list(args.override)
     if args.preset:
         overrides.append(f"sim.preset={args.preset}")
-    if args.algos:
-        overrides.append(f"run.algos={args.algos}")
-    if args.seed is not None and args.seeds is not None:
+    algos, seeds = getattr(args, "algos", None), getattr(args, "seeds", None)
+    if algos:
+        overrides.append(f"run.algos={algos}")
+    if args.seed is not None and seeds is not None:
         raise ConfigError("use either --seed or --seeds, not both")
     if args.seed is not None:
         overrides.append(f"run.seeds={args.seed},")
-    elif args.seeds is not None:
-        overrides.append(f"run.seeds={args.seeds}")
+    elif seeds is not None:
+        overrides.append(f"run.seeds={seeds}")
     if args.out:
         overrides.append(f"run.out_dir={args.out}")
     return load_config(args.config, overrides)

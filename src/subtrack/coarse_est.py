@@ -74,12 +74,12 @@ def lms_residuals(d: np.ndarray, r_seq: np.ndarray, h_seq: np.ndarray) -> np.nda
     return np.asarray(r_seq).reshape(-1) - np.einsum("nk,nk->n", prev.conj(), d)
 
 
-def estimate_channel_covariance(h_seq: np.ndarray, n_train: int) -> np.ndarray:
-    """Time-invariant sample covariance ``(1/N) sum h(n) h^H(n)``."""
-    if n_train < 1:
-        raise InvalidInputError(f"estimate_channel_covariance: n_train {n_train} < 1")
-    window = np.asarray(h_seq, dtype=np.complex128)[:n_train]
-    cov = window.T @ window.conj() / n_train
+def estimate_channel_covariance(h_seq: np.ndarray) -> np.ndarray:
+    """Time-invariant sample covariance ``(1/N) sum h(n) h^H(n)`` over N rows."""
+    window = np.asarray(h_seq, dtype=np.complex128)
+    if len(window) < 1:
+        raise InvalidInputError("estimate_channel_covariance: no rows")
+    cov = window.T @ window.conj() / len(window)
     return 0.5 * (cov + cov.conj().T)
 
 
@@ -89,50 +89,47 @@ def project_components(h_seq: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return h_seq @ np.asarray(basis).conj()
 
 
-def estimate_component_autocorrelation(z_seq: np.ndarray, lag: int,
-                                       n_train: int) -> np.ndarray:
-    """Per-component lag-``lag`` autocorrelation over the training window.
+def estimate_component_autocorrelation(z_seq: np.ndarray, lag: int) -> np.ndarray:
+    """Per-component lag-``lag`` autocorrelation over the N rows of ``z_seq``.
 
     ``(1/N) sum_n z(n) conj(z(n - lag))`` with the pre-start history treated
-    as zero; the divisor stays ``n_train`` regardless of the lag.
+    as zero; the divisor stays the row count N regardless of the lag.
     """
     z_seq = np.atleast_2d(np.asarray(z_seq, dtype=np.complex128))
-    if not 0 <= lag < n_train:
+    n_rows = z_seq.shape[0]
+    if not 0 <= lag < n_rows:
         raise InvalidInputError(
-            f"estimate_component_autocorrelation: need 0 <= lag < n_train, "
-            f"got lag={lag}, n_train={n_train}")
-    window = z_seq[:n_train]
+            f"estimate_component_autocorrelation: need 0 <= lag < rows, "
+            f"got lag={lag} for {n_rows} rows")
     if lag == 0:
-        return np.sum(window * window.conj(), axis=0) / n_train
-    return np.sum(window[lag:] * window[:-lag].conj(), axis=0) / n_train
+        return np.sum(z_seq * z_seq.conj(), axis=0) / n_rows
+    return np.sum(z_seq[lag:] * z_seq[:-lag].conj(), axis=0) / n_rows
 
 
-def autocorrelation_table(z_seq: np.ndarray, order: int, n_train: int) -> np.ndarray:
+def autocorrelation_table(z_seq: np.ndarray, order: int) -> np.ndarray:
     """Stack lags 0..order into an (r, order+1) table."""
-    cols = [estimate_component_autocorrelation(z_seq, m, n_train)
-            for m in range(order + 1)]
+    cols = [estimate_component_autocorrelation(z_seq, m) for m in range(order + 1)]
     return np.stack(cols, axis=1)
 
 
-def estimate_process_noise_correlated(z_seq: np.ndarray, phi: np.ndarray,
-                                      n_train: int) -> np.ndarray:
+def estimate_process_noise_correlated(z_seq: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Full process-noise covariance from the AR-model fit residuals.
 
     Residuals ``eta(n) = z(n) - sum_l Phi(l) z(n-l)`` are formed for
-    n = p+1..n_train (1-based) and averaged with divisor ``n_train``; the
-    result is symmetrized and eigenvalue-floored at ``1e-12 * trace`` so it
-    stays usable as a Kalman process-noise covariance.
+    n = p+1..N (1-based) over the N rows of ``z_seq`` and averaged with
+    divisor N; the result is symmetrized and eigenvalue-floored at
+    ``1e-12 * trace`` so it stays usable as a Kalman process-noise covariance.
     """
-    z_seq = np.atleast_2d(np.asarray(z_seq, dtype=np.complex128))[:n_train]
+    z_seq = np.atleast_2d(np.asarray(z_seq, dtype=np.complex128))
     phi = np.atleast_2d(np.asarray(phi, dtype=np.complex128))
-    rank, order = phi.shape
-    if n_train <= order:
+    order = phi.shape[1]
+    if len(z_seq) <= order:
         raise InvalidInputError(
-            f"estimate_process_noise_correlated: n_train {n_train} <= order {order}")
+            f"estimate_process_noise_correlated: {len(z_seq)} rows <= order {order}")
     resid = z_seq[order:].copy()
     for l in range(1, order + 1):
-        resid -= phi[:, l - 1][np.newaxis, :] * z_seq[order - l:n_train - l]
-    cov = resid.T @ resid.conj() / n_train
+        resid -= phi[:, l - 1][np.newaxis, :] * z_seq[order - l:-l]
+    cov = resid.T @ resid.conj() / len(z_seq)
     cov = 0.5 * (cov + cov.conj().T)
     floor = 1e-12 * float(np.trace(cov).real)
     evals, evecs = np.linalg.eigh(cov)
@@ -160,14 +157,13 @@ def fit_coarse_model(h_lms: np.ndarray, n_train: int, rank: int, order: int,
     """
     warmup = lms_warmup_length(mu, n_train)
     window = np.asarray(h_lms, dtype=np.complex128)[warmup:n_train]
-    n_window = n_train - warmup
-    cov = estimate_channel_covariance(window, n_window)
+    cov = estimate_channel_covariance(window)
     dec = evd_hermitian(cov)
     basis = truncate_subspace(dec, rank)
     z_lms = project_components(window, basis)
-    table = autocorrelation_table(z_lms, order, n_window)
+    table = autocorrelation_table(z_lms, order)
     sol = solve_yule_walker(table, order)
-    noise_full = estimate_process_noise_correlated(z_lms, sol.phi, n_window)
+    noise_full = estimate_process_noise_correlated(z_lms, sol.phi)
     return CoarseModel(channel_cov=cov, basis=basis, eigenvalues=dec.eigenvalues,
                        autocorr=table, phi=sol.phi,
                        noise_diag=np.diag(sol.noise_variance).astype(np.complex128),

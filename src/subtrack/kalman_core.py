@@ -137,10 +137,10 @@ class RecursiveAutocorr:
         return self.table
 
 
-def predict_transition(table: np.ndarray, order: int, rank: int,
-                       noise_cov: np.ndarray,
+def predict_transition(table: np.ndarray, noise_cov: np.ndarray,
                        previous: Optional[ArTransitionModel] = None) -> ArTransitionModel:
-    """Re-fit the transition model from a (possibly running) autocorrelation table.
+    """Re-fit the transition model from a (possibly running) (r, p+1)
+    autocorrelation table; its shape gives the rank r and the order p.
 
     At p = 1 each coefficient is R(1)/R(0); at p >= 2 every component's
     coefficients come from one stacked Yule-Walker solve over the table's
@@ -151,9 +151,10 @@ def predict_transition(table: np.ndarray, order: int, rank: int,
     returned as-is.
     """
     table = np.asarray(table, dtype=np.complex128)
-    if table.shape != (rank, order + 1):
+    if table.ndim != 2 or table.shape[1] < 2:
         raise InvalidInputError(
-            f"predict_transition: table shape {table.shape} != ({rank}, {order + 1})")
+            f"predict_transition: need an (r, p+1) table with p >= 1, got {table.shape}")
+    order = table.shape[1] - 1
     power = table[:, 0]
     degenerate = (power.real <= 0) | ~np.isfinite(power)
     if degenerate.any():

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 
-# Condition estimate beyond which the Toeplitz system gets a diagonal ridge.
+# Condition estimate beyond which a Toeplitz system gets the ridge RIDGE * R(0) * I.
 RIDGE_CONDITION_LIMIT = 1e12
+RIDGE = 1e-8
 
 
 @dataclass
@@ -89,7 +90,7 @@ def truncate_subspace(dec: EigenDecomposition, rank: int) -> np.ndarray:
     return dec.q[:, :rank].copy()
 
 
-def solve_yule_walker(autocorr: np.ndarray, order: int, ridge: float = 1e-8) -> YuleWalkerSolution:
+def solve_yule_walker(autocorr: np.ndarray, order: int) -> YuleWalkerSolution:
     """Fit AR(``order``) coefficients to autocorrelation sequences, one per row.
 
     Parameters
@@ -98,11 +99,11 @@ def solve_yule_walker(autocorr: np.ndarray, order: int, ridge: float = 1e-8) -> 
         (m, >= order+1) table holding one sequence per row.  Negative lags
         are taken as conjugates (Hermitian autocorrelation).
     order : AR order p >= 1.
-    ridge : relative Tikhonov ridge added as ``ridge * R(0) * I`` to each row
-        whose Toeplitz system's condition estimate exceeds 1e12.
 
     Solves every row's p x p Hermitian Toeplitz system linking
-    autocorrelations to AR coefficients in one stacked solve; the innovation
+    autocorrelations to AR coefficients in one stacked solve, adding the
+    Tikhonov ridge ``RIDGE * R(0) * I`` to each row whose condition estimate
+    exceeds ``RIDGE_CONDITION_LIMIT`` (or is not finite); the innovation
     variance is ``R(0) - sum_l phi_l conj(R(l))``, clamped at zero.  A single
     sequence gives ``phi`` (p,) and float variance and condition; a table
     gives ``phi`` (m, p) and (m,) arrays, each row equal to its own 1-D solve.
@@ -133,7 +134,7 @@ def solve_yule_walker(autocorr: np.ndarray, order: int, ridge: float = 1e-8) -> 
     condition = np.linalg.cond(toep)
     ridged = ~np.isfinite(condition) | (condition > RIDGE_CONDITION_LIMIT)
     if ridged.any():
-        toep[ridged] = toep[ridged] + (ridge * r0[ridged].real)[:, None, None] * np.eye(order)
+        toep[ridged] = toep[ridged] + (RIDGE * r0[ridged].real)[:, None, None] * np.eye(order)
     phi = np.linalg.solve(toep, rhs[:, :, None])[:, :, 0]
 
     noise_var = np.maximum((r0 - (phi[:, None, :] @ rhs.conj()[:, :, None])[:, 0, 0]).real, 0.0)

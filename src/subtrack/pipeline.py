@@ -23,7 +23,7 @@ covariance per step.
 """
 
 import weakref
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -187,9 +187,8 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
     return h_lms, coarse, q_seq[:, :, :cfg.rank]
 
 
-def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: str,
-                          dynamic_phi: bool, correlated_noise: bool,
-                          fb_smoothing: bool) -> TrackResult:
+def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
+                          algo: str) -> TrackResult:
     n_steps, n_taps = obs.d.shape
     rank, order = cfg.rank, cfg.order
     if not 1 <= rank <= n_taps:
@@ -201,7 +200,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     dim = rank * order
 
     h_lms, coarse, q_seq = _front_end(obs, cfg)
-    noise_cov = coarse.noise_full if correlated_noise else coarse.noise_diag
+    noise_cov = coarse.noise_full if cfg.correlated_noise else coarse.noise_diag
     model = ArTransitionModel(coarse.phi, noise_cov)
     sigma = _filter_noise_variance(cfg, obs, h_lms)
 
@@ -210,8 +209,8 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
     means_f = np.empty((n_steps, dim), dtype=np.complex128)
     phi_traj = np.empty((n_steps, rank), dtype=np.float64)
     # Only the backward pass and the fusion read these.
-    covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128) if fb_smoothing else None
-    phis = np.empty((n_steps, rank, order), dtype=np.complex128) if fb_smoothing else None
+    covs_f = np.empty((n_steps, dim, dim), dtype=np.complex128) if cfg.fb_smoothing else None
+    phis = np.empty((n_steps, rank, order), dtype=np.complex128) if cfg.fb_smoothing else None
 
     mean = np.zeros(dim, dtype=np.complex128)
     cov = np.eye(dim, dtype=np.complex128) * float(np.mean(coarse.autocorr[:, 0].real))
@@ -221,18 +220,17 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
         rows[n, :rank] = obs.d[n] @ q_seq[n]
         mean, cov, xi_fwd[n], _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
         means_f[n] = mean
-        if fb_smoothing:
+        if cfg.fb_smoothing:
             covs_f[n] = cov
             phis[n] = model.phi
         mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
         phi_traj[n] = np.abs(model.phi[:, 0])
-        if dynamic_phi:
+        if cfg.dynamic_phi:
             running.update(mean[:rank])
             if n + 1 >= n_train:
-                model = predict_transition(running.table, order, rank, noise_cov,
-                                           previous=model)
+                model = predict_transition(running.table, noise_cov, previous=model)
 
-    if fb_smoothing:
+    if cfg.fb_smoothing:
         block = min(_FUSION_BLOCK, n_steps)
         means_b = np.empty((block, dim), dtype=np.complex128)
         covs_b = np.empty((block, dim, dim), dtype=np.complex128)
@@ -276,8 +274,9 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig, algo: st
 
 def run_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     """Forward-only subspace Kalman tracker with a fixed training-fit model."""
-    return _run_subspace_tracker(obs, cfg, algo="asrmae", dynamic_phi=False,
-                                 correlated_noise=False, fb_smoothing=False)
+    return _run_subspace_tracker(
+        obs, replace(cfg, dynamic_phi=False, correlated_noise=False, fb_smoothing=False),
+        algo="asrmae")
 
 
 def run_dfb_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
@@ -290,10 +289,7 @@ def run_dfb_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     prediction error is the fit residual of the fused estimate.  With all
     flags off the output is bit-identical to :func:`run_asrmae`.
     """
-    return _run_subspace_tracker(obs, cfg, algo="dfb_asrmae",
-                                 dynamic_phi=cfg.dynamic_phi,
-                                 correlated_noise=cfg.correlated_noise,
-                                 fb_smoothing=cfg.fb_smoothing)
+    return _run_subspace_tracker(obs, cfg, algo="dfb_asrmae")
 
 
 def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:

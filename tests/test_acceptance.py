@@ -132,7 +132,7 @@ def test_criterion_3_yule_walker_recovery():
             innov *= np.sqrt((1 - phi**2) / 2)
             z = scipy.signal.lfilter([1.0], [1.0, -phi], innov)
             table = np.stack([
-                estimate_component_autocorrelation(z[:, None], m, n)
+                estimate_component_autocorrelation(z[:, None], m)
                 for m in (0, 1)], axis=1)
             est = solve_yule_walker(table[0], 1).phi[0]
             hits += abs(est - phi) < 0.02

@@ -246,6 +246,47 @@ def test_coherence_and_spectrum_commands(tmp_path):
     assert values == sorted(values, reverse=True)
 
 
+
+@pytest.mark.parametrize("args", [
+    ["sweep-rank", "--algos", "lms"],
+    ["coherence", "--seeds", "2"],
+    ["coherence", "--algos", "lms"],
+    ["spectrum", "--seeds", "2"],
+    ["spectrum", "--algos", "lms"],
+], ids=["sweep-rank-algos", "coherence-seeds", "coherence-algos", "spectrum-seeds",
+        "spectrum-algos"])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, *SMALL, "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coherence", "spectrum"])
+def test_analysis_manifest_lists_only_the_analysed_seed(tmp_path, command):
+    out = tmp_path / "out"
+    assert run_cli([command, *SMALL, "--override", "run.seeds=4,1,2",
+                    "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == [4]
+    assert manifest["config"]["run"]["seeds"] == [4]
+    # The first seed listed is the one analysed: the files equal a --seed 4 run's.
+    assert run_cli([command, *SMALL, "--seed", "4", "--out", tmp_path / "one"]) == 0
+    for name in manifest["files"]:
+        assert read_body(out / name) == read_body(tmp_path / "one" / name)
+
+
+def test_phi_traj_rows_count_components(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["run", *SMALL, "--seed", "0", "--out", out,
+                    "--algos", "dfb_asrmae"]) == 0
+    header, rows = read_csv(out / "phi_traj.csv")
+    assert header == ["n", "component", "abs_phi"]
+    assert sorted({row[1] for row in rows}) == [0, 1, 2]  # rank 3 of 12 taps
+    assert len(rows) == 300 * 3
+
 def test_csv_round_trip_exact():
     rng = np.random.default_rng(0)
     rows = [[int(rng.integers(0, 100)), "name", float(rng.standard_normal())]
@@ -384,6 +425,23 @@ def test_replay_recorded_channel(tmp_path):
     _, rows = read_csv(out / "summary.csv")
     assert len(rows) == 1 and np.isfinite(rows[0][2])
 
+
+
+def test_replay_takes_a_sim_n_train_beyond_the_simulators_steps(tmp_path):
+    # sim.n_train is only the tracker's default; the record fixes the steps.
+    path = write_walk_cir(tmp_path / "cir.csv")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--override", f"run.cir_csv={path}",
+                    "--override", "sim.n_steps=100", "--override", "sim.n_train=150",
+                    "--override", "tracker.rank=3",
+                    "--seed", "0", "--out", out, "--algos", "asrmae"]) == 0
+    _, rows = read_csv(out / "summary.csv")
+    assert rows[0][3] == 150  # train_len
+    # A simulated record still rejects a training length it cannot carry.
+    out = tmp_path / "sim"
+    assert run_cli(["run", *SMALL, "--override", "sim.n_train=300",
+                    "--seed", "0", "--out", out, "--algos", "asrmae"]) == 2
+    assert not out.exists()
 
 def test_algorithm_ordering_majority_of_seeds(tmp_path):
     # Small-scale version of the rough-preset ordering contract.

@@ -69,7 +69,7 @@ def test_lms_residuals_are_apriori_errors():
 def test_covariance_constant_outer_product():
     u = np.array([1.0 + 1j, 2.0, -1j])
     seq = np.broadcast_to(u, (40, 3))
-    cov = estimate_channel_covariance(seq, 40)
+    cov = estimate_channel_covariance(seq)
     assert_allclose(cov, np.outer(u, u.conj()), atol=1e-12)
     assert np.linalg.matrix_rank(cov, tol=1e-10) == 1
 
@@ -77,14 +77,14 @@ def test_covariance_constant_outer_product():
 def test_covariance_sign_symmetry():
     u = np.array([0.5, -1.0j])
     seq = np.array([u if n % 2 == 0 else -u for n in range(30)])
-    assert_allclose(estimate_channel_covariance(seq, 30),
+    assert_allclose(estimate_channel_covariance(seq),
                     np.outer(u, u.conj()), atol=1e-12)
 
 
 def test_covariance_double_loop_oracle():
     rng = np.random.default_rng(5)
     seq = rng.standard_normal((100, 4)) + 1j * rng.standard_normal((100, 4))
-    cov = estimate_channel_covariance(seq, 100)
+    cov = estimate_channel_covariance(seq)
     want = np.zeros((4, 4), dtype=complex)
     for n in range(100):
         for j in range(4):
@@ -121,7 +121,7 @@ def test_projection_round_trip_in_subspace():
 def test_autocorr_zero_lag_is_mean_power():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    got = estimate_component_autocorrelation(z, 0, 64)
+    got = estimate_component_autocorrelation(z, 0)
     assert_allclose(got.imag, 0, atol=1e-12)
     assert_allclose(got.real, np.mean(np.abs(z) ** 2, axis=0), atol=1e-12)
 
@@ -130,23 +130,33 @@ def test_autocorr_constant_signal():
     c = 0.7 - 0.3j
     z = np.full((2000, 1), c)
     for m in (0, 1, 3):
-        got = estimate_component_autocorrelation(z, m, 2000)
+        got = estimate_component_autocorrelation(z, m)
         assert_allclose(got, abs(c) ** 2 * (2000 - m) / 2000, atol=1e-12)
 
 
 def test_autocorr_ar1_ratio_monte_carlo():
     rng = np.random.default_rng(8)
     z = ar1_samples(0.9, 10_000, rng)[:, np.newaxis]
-    r0 = estimate_component_autocorrelation(z, 0, 10_000)
-    r1 = estimate_component_autocorrelation(z, 1, 10_000)
+    r0 = estimate_component_autocorrelation(z, 0)
+    r1 = estimate_component_autocorrelation(z, 1)
     assert abs((r1 / r0)[0] - 0.9) < 0.02
 
 
 def test_autocorr_divisor_stays_fixed():
     z = np.ones((10, 1), dtype=complex)
-    got = estimate_component_autocorrelation(z, 4, 10)
+    got = estimate_component_autocorrelation(z, 4)
     assert_allclose(got, 0.6)  # 6 terms contribute, divisor stays 10
 
+
+
+def test_estimators_divide_by_their_rows_and_reject_too_few():
+    z = np.ones((10, 1), dtype=complex)
+    assert_allclose(estimate_channel_covariance(z), [[1.0]])
+    assert_allclose(estimate_component_autocorrelation(z, 0), [1.0])
+    with pytest.raises(InvalidInputError):
+        estimate_channel_covariance(z[:0])
+    with pytest.raises(InvalidInputError):
+        estimate_component_autocorrelation(z, 10)  # lag 10 needs 11 rows
 
 # ------------------------------------------------------------ model fitting
 def initial_model(table, order):
@@ -185,7 +195,7 @@ def test_companion_eigenvalues_match_polynomial_roots():
 def test_order1_coefficient_magnitude_identity():
     rng = np.random.default_rng(9)
     z = ar1_samples(0.85, 4000, rng)[:, np.newaxis]
-    table = autocorrelation_table(z, 1, 4000)
+    table = autocorrelation_table(z, 1)
     model, _ = initial_model(table, 1)
     want = abs(table[0, 1]) / table[0, 0].real
     assert_allclose(abs(model.phi[0, 0]), want, atol=1e-14)
@@ -206,7 +216,7 @@ def test_coarse_fit_coefficients_are_its_table_yule_walker_fit(order):
 def test_process_noise_zero_transition_is_sample_covariance():
     rng = np.random.default_rng(10)
     z = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
-    got = estimate_process_noise_correlated(z, np.zeros((2, 1)), 500)
+    got = estimate_process_noise_correlated(z, np.zeros((2, 1)))
     want = z[1:].T @ z[1:].conj() / 500  # first step has no lag-1 history
     assert_allclose(got, 0.5 * (want + want.conj().T), atol=1e-10)
 
@@ -216,7 +226,7 @@ def test_process_noise_diagonal_for_independent_components():
     z = np.stack([ar1_samples(0.9, 10_000, rng),
                   ar1_samples(0.7, 10_000, rng)], axis=1)
     phi = np.array([[0.9], [0.7]], dtype=complex)
-    cov = estimate_process_noise_correlated(z, phi, 10_000)
+    cov = estimate_process_noise_correlated(z, phi)
     off = abs(cov[0, 1])
     assert off < 0.05 * max(cov[0, 0].real, cov[1, 1].real)
 
@@ -225,15 +235,14 @@ def test_process_noise_duplicated_component():
     rng = np.random.default_rng(12)
     z1 = ar1_samples(0.8, 3000, rng)
     z = np.stack([z1, z1], axis=1)
-    cov = estimate_process_noise_correlated(z, np.array([[0.8], [0.8]], dtype=complex),
-                                            3000)
+    cov = estimate_process_noise_correlated(z, np.array([[0.8], [0.8]], dtype=complex))
     assert_allclose(abs(cov[0, 1]), cov[0, 0].real, rtol=1e-6)
 
 
 def test_process_noise_is_psd():
     rng = np.random.default_rng(13)
     z = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
-    cov = estimate_process_noise_correlated(z, np.full((3, 1), 0.5 + 0j), 50)
+    cov = estimate_process_noise_correlated(z, np.full((3, 1), 0.5 + 0j))
     evals = np.linalg.eigvalsh(cov)
     assert evals.min() >= 0
     assert_allclose(cov, cov.conj().T, atol=1e-12)
@@ -242,7 +251,7 @@ def test_process_noise_is_psd():
 def test_process_noise_needs_history():
     with pytest.raises(InvalidInputError):
         estimate_process_noise_correlated(np.ones((2, 1), dtype=complex),
-                                          np.ones((1, 2), dtype=complex), 2)
+                                          np.ones((1, 2), dtype=complex))
 
 
 # ------------------------------------------------------- spectral identity
@@ -250,7 +259,7 @@ def test_component_covariance_equals_top_eigenvalues():
     rng = np.random.default_rng(14)
     h_seq = rng.standard_normal((600, 6)) + 1j * rng.standard_normal((600, 6))
     h_seq[:, 3:] *= 0.05
-    cov = estimate_channel_covariance(h_seq, 600)
+    cov = estimate_channel_covariance(h_seq)
     dec = evd_hermitian(cov)
     basis = truncate_subspace(dec, 3)
     z = project_components(h_seq, basis)

@@ -215,20 +215,20 @@ def test_predict_transition_consistent_with_training_fit():
     from subtrack.linalg_spectral import solve_yule_walker
     rng = np.random.default_rng(2)
     z = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
-    table = autocorrelation_table(z, 1, 500)
+    table = autocorrelation_table(z, 1)
     sol = solve_yule_walker(table, 1)
     model0 = ArTransitionModel(sol.phi, np.diag(sol.noise_variance))
-    refit = predict_transition(table, 1, 2, model0.noise_cov)
+    refit = predict_transition(table, model0.noise_cov)
     assert_allclose(refit.phi, model0.phi, atol=1e-12)
 
 
 def test_predict_transition_clamps_unstable():
     table = np.array([[1.0, 1.2]], dtype=complex)
-    model = predict_transition(table, 1, 1, np.eye(1))
+    model = predict_transition(table, np.eye(1))
     assert abs(model.phi[0, 0]) == pytest.approx(1 - 1e-6)
     assert np.angle(model.phi[0, 0]) == pytest.approx(0.0)
     rot = np.array([[1.0, 1.1j]], dtype=complex)
-    model = predict_transition(rot, 1, 1, np.eye(1))
+    model = predict_transition(rot, np.eye(1))
     assert np.angle(model.phi[0, 0]) == pytest.approx(np.pi / 2)
 
 
@@ -240,7 +240,7 @@ def test_predict_transition_matches_solver(order):
     acc = RecursiveAutocorr(4, order)
     for row in z:
         acc.update(row)
-    model = predict_transition(acc.table, order, 4, np.eye(4))
+    model = predict_transition(acc.table, np.eye(4))
     for i in range(4):
         want = solve_yule_walker(acc.table[i], order).phi
         assert np.all(np.abs(want) < 1.0)  # no stability clamp
@@ -250,9 +250,15 @@ def test_predict_transition_matches_solver(order):
 def test_predict_transition_degenerate_keeps_previous():
     prev = ArTransitionModel(phi=np.array([[0.5]]), noise_cov=np.eye(1))
     table = np.array([[0.0, 0.0]], dtype=complex)
-    model = predict_transition(table, 1, 1, np.eye(1), previous=prev)
+    model = predict_transition(table, np.eye(1), previous=prev)
     assert model is prev
 
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2, 2)])
+def test_predict_transition_rejects_a_table_without_lags(shape):
+    with pytest.raises(InvalidInputError, match="table"):
+        predict_transition(np.ones(shape, dtype=complex), np.eye(1))
 
 def test_predict_transition_tracks_drifting_coefficient():
     # Cumulative averaging lags a drifting AR(1); with constant-power
@@ -270,7 +276,7 @@ def test_predict_transition_tracks_drifting_coefficient():
             z = phi_path[i] * z + noise_std * (rng.standard_normal()
                                                + 1j * rng.standard_normal())
             acc.update(z)
-            model = predict_transition(acc.table, 1, 1, np.eye(1), previous=model)
+            model = predict_transition(acc.table, np.eye(1), previous=model)
             estimates[s, i] = abs(model.phi[0, 0])
     mean_est = estimates.mean(axis=0)
     assert np.max(np.abs(mean_est[1000:] - phi_path[1000:])) < 0.05
