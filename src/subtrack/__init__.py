@@ -20,8 +20,8 @@ from .errors import (ConfigError, DegenerateInputError, DivergenceError,
                      FusionError, InvalidInputError, NumericError,
                      SingularModelError, SubtrackError, TrackerStallError,
                      UndefinedMetricError)
-from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
-                          fb_combine, kf_predict, kf_update, predict_transition)
+from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model, companion,
+                          fb_combine, kf_predict, kf_update, predict_transition, stacked_noise)
 from .linalg_spectral import (EigenDecomposition, YuleWalkerSolution,
                               evd_hermitian, solve_yule_walker,
                               truncate_subspace)

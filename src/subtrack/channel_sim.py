@@ -2,9 +2,9 @@
 
 The generator gives full ground truth: a low-rank trajectory
 ``h(n) = Q(n) z(n)`` where the components ``z`` follow independent AR(1)
-recursions and the basis ``Q`` rotates slowly in a fixed random plane.  This
-matches the tracker's own model class, with controllable mismatch (basis
-rotation, drifting AR coefficients).
+recursions and the basis ``Q`` turns in a fixed random plane orthogonal to
+it, so ``Q(n)`` stays ``Q(0)`` up to rounding.  The one working mismatch with
+the tracker's own model class is drift of the AR coefficients.
 
 Plus the training-symbol generator and the received-signal synthesizer.
 All randomness is driven by explicit seeds; identical inputs give
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
-# Each preset's basis rotation per step (omega_q) and AR-coefficient drift.
+# Each preset's rotation angle per step (omega_q; it moves no basis column) and AR drift.
 _PRESETS = {"calm": {"omega_q": 2e-4, "phi_drift": 0.0},
             "rough": {"omega_q": 2e-3, "phi_drift": 0.05}}
 
@@ -78,10 +78,10 @@ class ObservationSequence:
 class SimConfig:
     """Latent-generator configuration.
 
-    ``preset`` selects the slow/fast variation regime: "calm" keeps the AR
-    coefficients fixed and barely rotates the basis, "rough" rotates the basis
-    ten times faster and drifts every AR coefficient down by ``phi_drift``
-    over the run.  ``omega_q`` and ``phi_drift`` are stored as given;
+    ``preset`` selects the variation regime; the presets differ only in
+    ``phi_drift``: "calm" keeps the AR coefficients fixed, "rough" drifts each
+    down by it over the run (no ``omega_q`` moves the basis; see
+    :func:`synth_latent_channel`).  ``omega_q`` and ``phi_drift`` are stored as given;
     :meth:`variation` resolves them, a value left at ``None`` taking the
     preset's, so a config copied with another ``preset`` takes that preset's
     values.  The basis rotates in a plane outside its own span, so a nonzero
@@ -194,10 +194,10 @@ def synth_latent_channel(cfg: SimConfig):
 
     Component powers decay geometrically (``cfg.power_decay``) and sum to one;
     AR coefficients run from ``phi_hi`` (strongest component) down to
-    ``phi_lo``.  The basis is a real random orthonormal matrix rotated by a
-    fixed-plane Givens rotation of ``omega_q`` radians per step; under the
-    rough preset every coefficient additionally drifts down by ``phi_drift``
-    over the run.
+    ``phi_lo``.  The real random orthonormal basis turns ``omega_q`` radians
+    per step in the plane of QR columns ``r_true`` and ``r_true + 1``, both
+    orthogonal to it, so ``q_true`` stays at its first step up to rounding.
+    Under the rough preset every coefficient drifts down by ``phi_drift``.
     """
     rng = np.random.default_rng(cfg.seed)
     raw = rng.standard_normal((cfg.n_taps, cfg.r_true + 2))

@@ -112,7 +112,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     Returns the manifest dictionary (also written as ``manifest.json``).
     """
     started = time.time()
-    seeds, algos = cfg.run.seeds, cfg.run.algos
+    seeds, algos, tracker = cfg.run.seeds, cfg.run.algos, cfg.tracker
     # Diagnostics come from the first seed's richest result, the only one held
     # whole; the others keep what the summary and error tables read.
     diag_algo = next((a for a in ("dfb_asrmae", "asrmae") if a in algos), None)
@@ -128,7 +128,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     tables = {"summary.csv": (
         ["seed", "algo", "mean_err_db", "train_len", "p", "r"],
-        [[seed, algo, res.mean_err_db, res.n_train, res.order, res.rank]
+        [[seed, algo, res.mean_err_db, tracker.n_train, tracker.order, tracker.rank]
          for seed, algo, res in results])}
     if cfg.run.emit_errors:
         tables["errors.csv"] = (
@@ -148,10 +148,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         if cfg.run.emit_coherence:
             for name, series in (("taps", diag.h_tracked), ("components", diag.components)):
                 tables[f"coherence_{name}.csv"] = _coherence_table(
-                    cross_path_coherence(series[diag.n_train:]))
+                    cross_path_coherence(series[tracker.n_train:]))
         if cfg.run.emit_spectrum:
             tables["eigenspectrum.csv"] = _spectrum_table(diag.eigen_spectrum)
-    return _write_outputs(cfg, out_dir, started, tables)
+    return _write_outputs(cfg, out_dir, started, tables, run_outputs=True)
 
 
 def sweep_rank(cfg: ExperimentConfig, ranks, algo: str, out_dir) -> dict:
@@ -193,7 +193,7 @@ def spectrum_analysis(cfg: ExperimentConfig, out_dir) -> dict:
                           {"eigenspectrum.csv": _spectrum_table(eigenvalue_spectrum(cov))})
 
 
-def _write_outputs(cfg, out_dir, started, tables, extra=None) -> dict:
+def _write_outputs(cfg, out_dir, started, tables, extra=None, run_outputs=False) -> dict:
     """Write each ``{name: (header, rows)}`` CSV into ``out_dir``, then the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,6 +202,9 @@ def _write_outputs(cfg, out_dir, started, tables, extra=None) -> dict:
     config = dataclasses.asdict(cfg)
     config["sim"].update(cfg.sim.variation())
     del config["sim"]["seed"]  # the seeds run are listed under "seeds"
+    if not run_outputs:  # only ``run`` reads run.algos and the run.emit_* flags
+        config["run"] = {key: value for key, value in config["run"].items()
+                         if key != "algos" and not key.startswith("emit_")}
     manifest = {
         "tool": "subtrack",
         "version": __version__,

@@ -1,21 +1,20 @@
 """Kalman recursions over the stacked AR component state.
 
 The state is the stacked vector ``Z(n) = [z(n); z(n-1); ...; z(n-p+1)]`` of
-length r*p, evolving under a companion-form transition matrix whose first
-block row holds the per-lag diagonal coefficient blocks.  This module supplies
-the forward update/prediction steps, the running autocorrelation table that
-feeds per-step re-fits of the transition model (one stacked Yule-Walker solve
-over all components per step), the reversed-time ``(transition, noise)`` pair
-of a model, and the two-filter combination of forward and backward filtered
-estimates, one step at a time (:func:`fb_combine`) or batched over a stack of
-steps (:func:`fb_fuse`; the pipeline fuses one block of the backward sweep per
-call, so each call's singular-sum ridge covers only its own block).
-Every kernel takes and returns plain arrays: the update, prediction and
-combination kernels work on ``(mean, cov)``, and the prediction takes its
-transition matrix and stacked process noise directly.
+length r*p.  Its dynamics are plain arrays: (r, p) coefficients ``phi``, whose
+:func:`companion` matrix is the transition, and an (r, r) process noise, which
+:func:`stacked_noise` embeds in the stacked state.  This module supplies the
+forward update/prediction steps on ``(mean, cov)``, the running
+autocorrelation table that feeds per-step re-fits of the coefficients (one
+stacked Yule-Walker solve over all components per step), the reversed-time
+``(transition, noise)`` pair of a model, and the two-filter combination of
+forward and backward filtered estimates, one step at a time
+(:func:`fb_combine`) or batched over a stack of steps (:func:`fb_fuse`; the
+pipeline fuses one block of the backward sweep per call, so each call's
+singular-sum ridge covers only its own block).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,42 +30,39 @@ STABILITY_CLAMP = 1.0 - 1e-6
 
 @dataclass
 class ArTransitionModel:
-    """Companion-form transition model for rank-r, order-p component dynamics.
-
-    ``phi[i, l-1]`` is component i's lag-l coefficient.  ``noise_cov`` is the
-    (r, r) innovation covariance; the stacked state sees it embedded in the
-    top-left block of an otherwise zero (rp, rp) matrix, ``process_noise_star``.
-    """
+    """The argument of :func:`backward_model`: ``phi[i, l-1]`` is component i's
+    lag-l coefficient, ``noise_cov`` the (r, r) innovation covariance."""
 
     phi: np.ndarray
     noise_cov: np.ndarray
-    companion: np.ndarray = field(init=False, repr=False)
-    process_noise_star: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.phi = np.atleast_2d(np.asarray(self.phi, dtype=np.complex128))
-        self.noise_cov = np.asarray(self.noise_cov, dtype=np.complex128)
-        rank, order = self.phi.shape
-        if order < 1:
-            raise InvalidInputError("ArTransitionModel: order must be >= 1")
-        if self.noise_cov.shape != (rank, rank):
-            raise InvalidInputError(
-                f"ArTransitionModel: noise_cov shape {self.noise_cov.shape} != ({rank}, {rank})")
-        dim = rank * order
-        companion = np.zeros((dim, dim), dtype=np.complex128)
-        # First block row, seen as (i, l, j): lag l's coefficients at j == i.
-        diag = np.arange(rank)
-        companion[:rank].reshape(rank, order, rank)[diag, :, diag] = self.phi
-        if order > 1:
-            sub = np.arange(dim - rank)
-            companion[rank + sub, sub] = 1.0
-        self.companion = companion
-        self.process_noise_star = np.zeros((dim, dim), dtype=np.complex128)
-        self.process_noise_star[:rank, :rank] = self.noise_cov
 
-    @property
-    def order(self) -> int:
-        return self.phi.shape[1]
+def companion(phi: np.ndarray) -> np.ndarray:
+    """The (rp, rp) transition matrix of (r, p) coefficients ``phi``: per-lag
+    diagonal blocks in its first block row, a one-lag shift below."""
+    if phi.ndim != 2 or phi.shape[1] < 1:
+        raise InvalidInputError(f"companion: need (r, p) coefficients, p >= 1, got {phi.shape}")
+    rank, order = phi.shape
+    dim = rank * order
+    trans = np.zeros((dim, dim), dtype=np.complex128)
+    # First block row, seen as (i, l, j): lag l's coefficients at j == i.
+    diag = np.arange(rank)
+    trans[:rank].reshape(rank, order, rank)[diag, :, diag] = phi
+    if order > 1:
+        sub = np.arange(dim - rank)
+        trans[rank + sub, sub] = 1.0
+    return trans
+
+
+def stacked_noise(noise_cov: np.ndarray, order: int) -> np.ndarray:
+    """The (rp, rp) process noise of the stacked state: the (r, r)
+    ``noise_cov`` in the top-left block, zero elsewhere."""
+    if noise_cov.ndim != 2 or noise_cov.shape[0] != noise_cov.shape[1] or order < 1:
+        raise InvalidInputError(f"stacked_noise: got noise {noise_cov.shape}, order {order}")
+    rank = noise_cov.shape[0]
+    noise = np.zeros((rank * order, rank * order), dtype=np.complex128)
+    noise[:rank, :rank] = noise_cov
+    return noise
 
 
 def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: float,
@@ -95,9 +91,9 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: flo
 def kf_predict(mean: np.ndarray, cov: np.ndarray, trans: np.ndarray,
                noise: np.ndarray):
     """Propagate a filtered ``(mean, cov)`` one step through the (rp, rp)
-    transition matrix ``trans`` with stacked process noise ``noise``: a
-    model's ``companion`` and ``process_noise_star``, or the pair
-    :func:`backward_model` returns.
+    transition matrix ``trans`` with stacked process noise ``noise``: the
+    :func:`companion` of the coefficients and the :func:`stacked_noise`, or
+    the pair :func:`backward_model` returns.
     """
     mean = trans @ mean
     cov = trans @ cov @ trans.conj().T + noise
@@ -137,18 +133,17 @@ class RecursiveAutocorr:
         return self.table
 
 
-def predict_transition(table: np.ndarray, noise_cov: np.ndarray,
-                       previous: Optional[ArTransitionModel] = None) -> ArTransitionModel:
-    """Re-fit the transition model from a (possibly running) (r, p+1)
-    autocorrelation table; its shape gives the rank r and the order p.
+def predict_transition(table: np.ndarray,
+                       previous: Optional[np.ndarray] = None) -> np.ndarray:
+    """Re-fit the (r, p) transition coefficients from a (possibly running)
+    (r, p+1) autocorrelation table; its shape gives the rank r and the order p.
 
     At p = 1 each coefficient is R(1)/R(0); at p >= 2 every component's
     coefficients come from one stacked Yule-Walker solve over the table's
     rows.  Coefficients on or outside the unit circle are radially projected to
-    magnitude ``1 - 1e-6`` with their phase preserved.  The process noise is
-    carried over unchanged (it is estimated once, on training data).  If any
-    component's zero-lag power is nonpositive the ``previous`` model is
-    returned as-is.
+    magnitude ``1 - 1e-6`` with their phase preserved.  If any component's
+    zero-lag power is nonpositive the ``previous`` coefficients are returned
+    as-is.
     """
     table = np.asarray(table, dtype=np.complex128)
     if table.ndim != 2 or table.shape[1] < 2:
@@ -161,7 +156,7 @@ def predict_transition(table: np.ndarray, noise_cov: np.ndarray,
         if previous is not None:
             return previous
         raise InvalidInputError(
-            "predict_transition: degenerate zero-lag autocorrelation and no fallback model")
+            "predict_transition: degenerate zero-lag autocorrelation and no fallback")
 
     if order == 1:
         phi = (table[:, 1] / table[:, 0].real)[:, np.newaxis]
@@ -171,7 +166,7 @@ def predict_transition(table: np.ndarray, noise_cov: np.ndarray,
     unstable = mags >= 1.0
     if unstable.any():
         phi = np.where(unstable, phi * (STABILITY_CLAMP / np.where(unstable, mags, 1.0)), phi)
-    return ArTransitionModel(phi=phi, noise_cov=noise_cov)
+    return phi
 
 
 def backward_model(model: ArTransitionModel):
@@ -182,19 +177,24 @@ def backward_model(model: ArTransitionModel):
     companion matrix to be invertible, i.e. no component's highest-lag
     coefficient may vanish.
     """
-    tail = model.phi[:, -1]
-    bad = np.flatnonzero(np.abs(tail) <= 1e-12)
+    phi, noise_cov = model.phi, model.noise_cov
+    if phi.ndim != 2 or phi.shape[1] < 1 or noise_cov.shape != (phi.shape[0],) * 2:
+        raise InvalidInputError(
+            f"backward_model: need (r, p) coefficients and an (r, r) noise_cov, got "
+            f"{phi.shape} and {noise_cov.shape}")
+    order = phi.shape[1]
+    bad = np.flatnonzero(np.abs(phi[:, -1]) <= 1e-12)
     if bad.size:
         raise SingularModelError(
-            f"backward_model: lag-{model.order} coefficient of component {bad[0]} is "
+            f"backward_model: lag-{order} coefficient of component {bad[0]} is "
             f"zero; transition not invertible")
-    if model.order == 1:
-        inv_phi = 1.0 / model.phi[:, 0]
+    if order == 1:
+        inv_phi = 1.0 / phi[:, 0]
         trans = np.diag(inv_phi)
-        noise = model.noise_cov * np.outer(inv_phi, inv_phi.conj())
+        noise = noise_cov * np.outer(inv_phi, inv_phi.conj())
     else:
-        trans = np.linalg.inv(model.companion)
-        noise = trans @ model.process_noise_star @ trans.conj().T
+        trans = np.linalg.inv(companion(phi))
+        noise = trans @ stacked_noise(noise_cov, order) @ trans.conj().T
     return trans, 0.5 * (noise + noise.conj().T)
 
 

@@ -10,16 +10,15 @@ flag reproduces the baseline bit for bit.
 The front end has one path: one LMS pass over the whole record, the coarse
 fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
 estimates.  While a record lives the runners share its LMS pass, one coarse
-fit per rank and one PAST-d pass for every rank.  The forward
-filter predicts through each step's model (``companion``,
-``process_noise_star``) and keeps only its coefficients, one ``phis`` array
-of shape (N, r, p).  The reversed-time filter predicts through the
-``(transition, noise)`` pair :func:`~subtrack.kalman_core.backward_model`
-inverts from a model rebuilt from ``phis`` wherever the stored coefficients
-change.  The backward sweep holds one block of ``_FUSION_BLOCK`` steps of its
-estimates and fuses each complete block with the forward ones
-(:func:`~subtrack.kalman_core.fb_fuse`), so it never holds a backward
-covariance per step.
+fit per rank and one PAST-d pass for every rank.  The forward filter carries
+each step's (r, p) AR coefficients, predicts through their companion matrix
+and the process noise stacked once per run, and keeps them in one (N, r, p)
+``phis`` array, from which :func:`~subtrack.kalman_core.backward_model`
+inverts the reversed-time filter's ``(transition, noise)`` pair wherever they
+change.  The backward sweep holds one block of
+``_FUSION_BLOCK`` steps of its estimates and fuses each complete block with
+the forward ones (:func:`~subtrack.kalman_core.fb_fuse`), so it never holds a
+backward covariance per step.
 """
 
 import weakref
@@ -34,8 +33,8 @@ from .errors import InvalidInputError, NumericError
 # fb_combine, cross_path_coherence and eigenvalue_spectrum are unused here but
 # stay bound: the benchmark's tracer wraps them.
 from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
-                          fb_combine, fb_fuse, kf_predict, kf_update,
-                          predict_transition)
+                          companion, fb_combine, fb_fuse, kf_predict, kf_update,
+                          predict_transition, stacked_noise)
 from .metrics import (DEFAULT_FLOOR_DB, cross_path_coherence, eigenvalue_spectrum,
                       normalized_prediction_error, normalized_spectrum)
 from .subspace_tracking import PastdTracker
@@ -102,9 +101,6 @@ class TrackResult:
     xi: np.ndarray                 # (N,) prediction errors
     err_db: np.ndarray             # (N,) per-step normalized error, floored
     mean_err_db: float             # linear-scale mean over the eval window, in dB
-    rank: int
-    order: int
-    n_train: int
     components: Optional[np.ndarray] = None      # (N, r) z behind h_tracked
     phi_traj: Optional[np.ndarray] = None        # (N, r) |phi_i(1)| per step
     noise_cov: Optional[np.ndarray] = None       # (r, r) process noise used
@@ -190,18 +186,17 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
 def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
                           algo: str) -> TrackResult:
     n_steps, n_taps = obs.d.shape
-    rank, order = cfg.rank, cfg.order
+    rank, order, n_train = cfg.rank, cfg.order, cfg.n_train
     if not 1 <= rank <= n_taps:
         raise InvalidInputError(f"tracker: rank {rank} outside [1, {n_taps}]")
-    if not 0 < cfg.n_train < n_steps:
+    if not 0 < n_train < n_steps:
         raise InvalidInputError(
-            f"tracker: need 0 < n_train < n_steps, got {cfg.n_train}, {n_steps}")
-    n_train = cfg.n_train
+            f"tracker: need 0 < n_train < n_steps, got {n_train}, {n_steps}")
     dim = rank * order
 
     h_lms, coarse, q_seq = _front_end(obs, cfg)
     noise_cov = coarse.noise_full if cfg.correlated_noise else coarse.noise_diag
-    model = ArTransitionModel(coarse.phi, noise_cov)
+    noise, phi, trans = stacked_noise(noise_cov, order), coarse.phi, companion(coarse.phi)
     sigma = _filter_noise_variance(cfg, obs, h_lms)
 
     rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
@@ -222,13 +217,14 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
         means_f[n] = mean
         if cfg.fb_smoothing:
             covs_f[n] = cov
-            phis[n] = model.phi
-        mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
-        phi_traj[n] = np.abs(model.phi[:, 0])
+            phis[n] = phi
+        mean, cov = kf_predict(mean, cov, trans, noise)
+        phi_traj[n] = np.abs(phi[:, 0])
         if cfg.dynamic_phi:
             running.update(mean[:rank])
             if n + 1 >= n_train:
-                model = predict_transition(running.table, noise_cov, previous=model)
+                phi = predict_transition(running.table, previous=phi)
+                trans = companion(phi)
 
     if cfg.fb_smoothing:
         block = min(_FUSION_BLOCK, n_steps)
@@ -268,8 +264,8 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
                                                   eval_start=n_train)
     return TrackResult(
         algo=algo, h_tracked=h_out, xi=xi_out, err_db=err_db, mean_err_db=mean_db,
-        rank=rank, order=order, n_train=n_train, components=z_out, phi_traj=phi_traj,
-        noise_cov=noise_cov, eigen_spectrum=normalized_spectrum(coarse.eigenvalues))
+        components=z_out, phi_traj=phi_traj, noise_cov=noise_cov,
+        eigen_spectrum=normalized_spectrum(coarse.eigenvalues))
 
 
 def run_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
@@ -302,9 +298,8 @@ def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     xi = lms_residuals(obs.d, obs.r, h_lms)
     err_db, mean_db = normalized_prediction_error(xi, obs.r, cfg.floor_db,
                                                   eval_start=cfg.n_train)
-    return TrackResult(
-        algo="lms", h_tracked=h_lms, xi=xi, err_db=err_db, mean_err_db=mean_db,
-        rank=cfg.rank, order=cfg.order, n_train=cfg.n_train)
+    return TrackResult(algo="lms", h_tracked=h_lms, xi=xi, err_db=err_db,
+                       mean_err_db=mean_db)
 
 
 ALGORITHMS = {"lms": run_lms, "asrmae": run_asrmae, "dfb_asrmae": run_dfb_asrmae}

@@ -278,6 +278,21 @@ def test_analysis_manifest_lists_only_the_analysed_seed(tmp_path, command):
         assert read_body(out / name) == read_body(tmp_path / "one" / name)
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep-rank", "--ranks", "4", "--algo", "asrmae"], ["coherence"], ["spectrum"]],
+    ids=["sweep-rank", "coherence", "spectrum"])
+def test_manifest_records_only_the_run_settings_its_command_reads(tmp_path, args):
+    out = tmp_path / "out"
+    assert run_cli([*args, *SMALL, "--seed", "1", "--override", "run.algos=lms",
+                    "--out", out]) == 0
+    text = (out / "manifest.json").read_text()
+    run = json.loads(text)["config"]["run"]
+    assert "lms" not in text
+    assert "algos" not in run and not [key for key in run if key.startswith("emit_")]
+    if args[0] == "sweep-rank":
+        assert json.loads(text)["algo"] == "asrmae"
+
+
 def test_phi_traj_rows_count_components(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", *SMALL, "--seed", "0", "--out", out,

@@ -10,7 +10,7 @@ from subtrack.coarse_est import (autocorrelation_table,
                                  fit_coarse_model, lms_residuals, lms_track,
                                  project_components)
 from subtrack.errors import DivergenceError, InvalidInputError
-from subtrack.kalman_core import ArTransitionModel
+from subtrack.kalman_core import companion
 from subtrack.linalg_spectral import (evd_hermitian, solve_yule_walker,
                                       truncate_subspace)
 
@@ -160,16 +160,15 @@ def test_estimators_divide_by_their_rows_and_reject_too_few():
 
 # ------------------------------------------------------------ model fitting
 def initial_model(table, order):
-    """The training fit's transition model and its diagonal innovation noise."""
+    """The training fit's coefficients and its diagonal innovation noise."""
     sol = solve_yule_walker(table, order)
-    noise = np.diag(sol.noise_variance).astype(complex)
-    return ArTransitionModel(sol.phi, noise), noise
+    return sol.phi, np.diag(sol.noise_variance).astype(complex)
 
 
 def test_build_initial_model_order1_diagonal():
     table = np.array([[1.0, 0.9], [2.0, 1.0]], dtype=complex)
-    model, noise = initial_model(table, 1)
-    assert_allclose(model.companion, np.diag([0.9, 0.5]), atol=1e-14)
+    phi, noise = initial_model(table, 1)
+    assert_allclose(companion(phi), np.diag([0.9, 0.5]), atol=1e-14)
     assert_allclose(np.diag(noise).real, [1 - 0.81, 2 - 0.5], atol=1e-12)
 
 
@@ -177,17 +176,17 @@ def test_build_initial_model_order2_companion_layout():
     phi1, phi2 = 0.5, 0.3
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    model, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
+    phi, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
     want = np.array([[phi1, phi2], [1.0, 0.0]])
-    assert_allclose(model.companion, want, atol=1e-10)
+    assert_allclose(companion(phi), want, atol=1e-10)
 
 
 def test_companion_eigenvalues_match_polynomial_roots():
     phi1, phi2 = 0.4, 0.25
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    model, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
-    eigs = np.sort_complex(np.linalg.eigvals(model.companion))
+    phi, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
+    eigs = np.sort_complex(np.linalg.eigvals(companion(phi)))
     roots = np.sort_complex(np.roots([1.0, -phi1, -phi2]))
     assert_allclose(eigs, roots, atol=1e-10)
 
@@ -196,9 +195,9 @@ def test_order1_coefficient_magnitude_identity():
     rng = np.random.default_rng(9)
     z = ar1_samples(0.85, 4000, rng)[:, np.newaxis]
     table = autocorrelation_table(z, 1)
-    model, _ = initial_model(table, 1)
+    phi, _ = initial_model(table, 1)
     want = abs(table[0, 1]) / table[0, 0].real
-    assert_allclose(abs(model.phi[0, 0]), want, atol=1e-14)
+    assert_allclose(abs(phi[0, 0]), want, atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 3])

@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from subtrack.errors import (FusionError, InvalidInputError, NumericError,
                              SingularModelError)
 from subtrack.kalman_core import (ArTransitionModel, RecursiveAutocorr,
-                                  backward_model, fb_combine, fb_fuse,
-                                  kf_predict, kf_update, predict_transition)
+                                  backward_model, companion, fb_combine, fb_fuse,
+                                  kf_predict, kf_update, predict_transition,
+                                  stacked_noise)
 
 
 def vec(values):
@@ -17,15 +18,18 @@ def mat(values):
     return np.atleast_2d(np.asarray(values, complex))
 
 
+def forward_pair(model):
+    """The stacked ``(transition, noise)`` a model's forward prediction uses."""
+    return companion(model.phi), stacked_noise(model.noise_cov, model.phi.shape[1])
+
+
 def stacked_covariance(model, p0, n_steps):
     """Joint covariance of [Z(1); ...; Z(N)] under the linear-Gaussian chain."""
-    dim = model.companion.shape[0]
-    trans = model.companion
+    trans, noise = forward_pair(model)
     blocks = [[None] * n_steps for _ in range(n_steps)]
     blocks[0][0] = np.asarray(p0, complex)
     for k in range(1, n_steps):
-        blocks[k][k] = trans @ blocks[k - 1][k - 1] @ trans.conj().T \
-            + model.process_noise_star
+        blocks[k][k] = trans @ blocks[k - 1][k - 1] @ trans.conj().T + noise
     for j in range(n_steps):
         for k in range(j + 1, n_steps):
             blocks[k][j] = trans @ (blocks[k - 1][j] if k - 1 != j
@@ -43,7 +47,7 @@ def batch_lmmse(model, p0, rows, noise_var, observations, information=False):
     the cancellation the covariance form suffers under a diffuse prior.
     """
     n_steps = len(observations)
-    dim = model.companion.shape[0]
+    dim = model.phi.size
     sigma = stacked_covariance(model, p0, n_steps)
     h = np.zeros((n_steps, n_steps * dim), dtype=complex)
     for n, row in enumerate(rows):
@@ -62,12 +66,13 @@ def batch_lmmse(model, p0, rows, noise_var, observations, information=False):
 
 def run_forward(model, p0, rows, noise_var, observations):
     """Forward filtered (mean, cov) at every step from a zero-mean prior."""
-    mean, cov = np.zeros(model.companion.shape[0], complex), mat(p0)
+    trans, noise = forward_pair(model)
+    mean, cov = np.zeros(model.phi.size, complex), mat(p0)
     filtered = []
     for row, r_n in zip(rows, observations):
         mean, cov, _, _ = kf_update(mean, cov, vec(row), noise_var, r_n)
         filtered.append((mean, cov))
-        mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
+        mean, cov = kf_predict(mean, cov, trans, noise)
     return filtered
 
 
@@ -75,7 +80,7 @@ def run_backward(model, p0, rows, noise_var, observations):
     """Backward filtered (mean, cov) at every step: the reversed-time filter
     through ``backward_model(model)``, from a zero-mean prior at the last step."""
     trans, noise = backward_model(model)
-    mean, cov = np.zeros(model.companion.shape[0], complex), mat(p0)
+    mean, cov = np.zeros(model.phi.size, complex), mat(p0)
     filtered = [None] * len(rows)
     for i in range(len(rows) - 1, -1, -1):
         mean, cov, _, _ = kf_update(mean, cov, vec(rows[i]), noise_var, observations[i])
@@ -133,19 +138,17 @@ def test_update_rejects_nonpositive_noise_var(noise_var):
 
 # ----------------------------------------------------------------- predict
 def test_predict_identity_dynamics():
-    model = ArTransitionModel(phi=np.array([[1.0], [1.0]]),
-                              noise_cov=np.zeros((2, 2)))
+    trans, noise = companion(np.ones((2, 1))), stacked_noise(np.zeros((2, 2)), 1)
     mean0, cov0 = vec([1.0, 2.0]), mat(np.diag([0.5, 0.25]))
-    mean, cov = kf_predict(mean0, cov0, model.companion, model.process_noise_star)
+    mean, cov = kf_predict(mean0, cov0, trans, noise)
     assert_allclose(mean, mean0)
     assert_allclose(cov, cov0)
 
 
 def test_predict_zero_dynamics_resets_to_noise():
     noise = np.array([[0.3, 0.1], [0.1, 0.2]])
-    model = ArTransitionModel(phi=np.zeros((2, 1)), noise_cov=noise)
-    mean, cov = kf_predict(vec([1.0, 2.0]), mat(np.eye(2)), model.companion,
-                           model.process_noise_star)
+    mean, cov = kf_predict(vec([1.0, 2.0]), mat(np.eye(2)), companion(np.zeros((2, 1))),
+                           stacked_noise(noise, 1))
     assert_allclose(mean, 0)
     assert_allclose(cov, noise)
 
@@ -153,30 +156,39 @@ def test_predict_zero_dynamics_resets_to_noise():
 def test_predict_matches_dense_triple_product():
     rng = np.random.default_rng(0)
     phi = 0.8 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(2, 2)))
-    noise = np.eye(2) * 0.1
-    model = ArTransitionModel(phi=phi, noise_cov=noise)
+    trans, noise = companion(phi), stacked_noise(np.eye(2) * 0.1, 2)
     cov = mat(np.eye(4) + 0.1 * np.ones((4, 4)))
     mean = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    pred_mean, pred_cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
-    trans = model.companion
+    pred_mean, pred_cov = kf_predict(mean, cov, trans, noise)
     assert_allclose(pred_mean, trans @ mean, atol=1e-12)
-    want = trans @ cov @ trans.conj().T + model.process_noise_star
+    want = trans @ cov @ trans.conj().T + noise
     assert_allclose(pred_cov, 0.5 * (want + want.conj().T), atol=1e-12)
 
 
 def test_companion_structure_order2():
-    model = ArTransitionModel(phi=np.array([[0.5, 0.2], [0.4, 0.1]]),
-                              noise_cov=np.eye(2))
     want = np.array([
         [0.5, 0.0, 0.2, 0.0],
         [0.0, 0.4, 0.0, 0.1],
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
     ])
-    assert_allclose(model.companion, want)
-    star = model.process_noise_star
+    assert_allclose(companion(np.array([[0.5, 0.2], [0.4, 0.1]])), want)
+    star = stacked_noise(np.eye(2), 2)
     assert_allclose(star[:2, :2], np.eye(2))
     assert not np.any(star[2:, :]) and not np.any(star[:, 2:])
+
+
+@pytest.mark.parametrize("phi", [np.ones(3), np.ones((2, 0)), np.ones((1, 1, 1))])
+def test_companion_rejects_coefficients_without_rank_and_lag(phi):
+    with pytest.raises(InvalidInputError, match="companion"):
+        companion(phi)
+
+
+@pytest.mark.parametrize("noise, order", [(np.eye(2)[:1], 1), (np.ones(2), 1),
+                                          (np.eye(2), 0)])
+def test_stacked_noise_rejects_a_non_square_noise_or_no_lag(noise, order):
+    with pytest.raises(InvalidInputError, match="stacked_noise"):
+        stacked_noise(noise, order)
 
 
 # ------------------------------------------------- recursive autocorrelation
@@ -217,19 +229,17 @@ def test_predict_transition_consistent_with_training_fit():
     z = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
     table = autocorrelation_table(z, 1)
     sol = solve_yule_walker(table, 1)
-    model0 = ArTransitionModel(sol.phi, np.diag(sol.noise_variance))
-    refit = predict_transition(table, model0.noise_cov)
-    assert_allclose(refit.phi, model0.phi, atol=1e-12)
+    assert_allclose(predict_transition(table), sol.phi, atol=1e-12)
 
 
 def test_predict_transition_clamps_unstable():
     table = np.array([[1.0, 1.2]], dtype=complex)
-    model = predict_transition(table, np.eye(1))
-    assert abs(model.phi[0, 0]) == pytest.approx(1 - 1e-6)
-    assert np.angle(model.phi[0, 0]) == pytest.approx(0.0)
+    phi = predict_transition(table)
+    assert abs(phi[0, 0]) == pytest.approx(1 - 1e-6)
+    assert np.angle(phi[0, 0]) == pytest.approx(0.0)
     rot = np.array([[1.0, 1.1j]], dtype=complex)
-    model = predict_transition(rot, np.eye(1))
-    assert np.angle(model.phi[0, 0]) == pytest.approx(np.pi / 2)
+    phi = predict_transition(rot)
+    assert np.angle(phi[0, 0]) == pytest.approx(np.pi / 2)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -240,25 +250,27 @@ def test_predict_transition_matches_solver(order):
     acc = RecursiveAutocorr(4, order)
     for row in z:
         acc.update(row)
-    model = predict_transition(acc.table, np.eye(4))
+    phi = predict_transition(acc.table)
+    assert phi.shape == (4, order)
     for i in range(4):
         want = solve_yule_walker(acc.table[i], order).phi
         assert np.all(np.abs(want) < 1.0)  # no stability clamp
-        assert np.array_equal(model.phi[i], want)
+        assert np.array_equal(phi[i], want)
 
 
 def test_predict_transition_degenerate_keeps_previous():
-    prev = ArTransitionModel(phi=np.array([[0.5]]), noise_cov=np.eye(1))
+    prev = np.array([[0.5 + 0j]])
     table = np.array([[0.0, 0.0]], dtype=complex)
-    model = predict_transition(table, np.eye(1), previous=prev)
-    assert model is prev
-
+    assert predict_transition(table, previous=prev) is prev
+    with pytest.raises(InvalidInputError, match="no fallback"):
+        predict_transition(table)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2, 2)])
 def test_predict_transition_rejects_a_table_without_lags(shape):
     with pytest.raises(InvalidInputError, match="table"):
-        predict_transition(np.ones(shape, dtype=complex), np.eye(1))
+        predict_transition(np.ones(shape, dtype=complex))
+
 
 def test_predict_transition_tracks_drifting_coefficient():
     # Cumulative averaging lags a drifting AR(1); with constant-power
@@ -270,14 +282,14 @@ def test_predict_transition_tracks_drifting_coefficient():
         rng = np.random.default_rng(50 + s)
         acc = RecursiveAutocorr(1, 1)
         z = np.array([1.0 + 0j])
-        model = None
+        phi = None
         for i in range(n):
             noise_std = np.sqrt((1 - phi_path[i] ** 2) / 2)
             z = phi_path[i] * z + noise_std * (rng.standard_normal()
                                                + 1j * rng.standard_normal())
             acc.update(z)
-            model = predict_transition(acc.table, np.eye(1), previous=model)
-            estimates[s, i] = abs(model.phi[0, 0])
+            phi = predict_transition(acc.table, previous=phi)
+            estimates[s, i] = abs(phi[0, 0])
     mean_est = estimates.mean(axis=0)
     assert np.max(np.abs(mean_est[1000:] - phi_path[1000:])) < 0.05
 
@@ -298,8 +310,7 @@ def test_backward_model_inverse_product_random():
             1j * rng.uniform(-np.pi, np.pi, size=(3, 2)))
         model = ArTransitionModel(phi=phi, noise_cov=np.eye(3) * 0.1)
         trans, _ = backward_model(model)
-        assert_allclose(trans @ model.companion,
-                        np.eye(6), atol=1e-10)
+        assert_allclose(trans @ companion(phi), np.eye(6), atol=1e-10)
 
 
 def test_backward_model_maps_noise():
@@ -314,6 +325,14 @@ def test_backward_model_singular_names_component():
                               noise_cov=np.eye(2))
     with pytest.raises(SingularModelError, match="component 1"):
         backward_model(model)
+
+
+@pytest.mark.parametrize("phi, noise", [(np.ones((2, 1)), np.eye(3)),
+                                        (np.ones((2, 0)), np.eye(2)),
+                                        (np.ones(2), np.eye(2))])
+def test_backward_model_rejects_mismatched_shapes(phi, noise):
+    with pytest.raises(InvalidInputError, match="backward_model"):
+        backward_model(ArTransitionModel(phi=phi, noise_cov=noise))
 
 
 # ----------------------------------------------------------------- fusion
@@ -449,7 +468,7 @@ def test_innovation_whiteness_matched_model():
     rank, n = 2, 5000
     phi = np.array([0.95, 0.8])
     q = 1 - phi**2
-    model = ArTransitionModel(phi=phi[:, None] + 0j, noise_cov=np.diag(q) + 0j)
+    trans, noise = companion(phi[:, None]), stacked_noise(np.diag(q), 1)
     z = np.zeros(rank, complex)
     mean, cov = np.zeros(rank, complex), mat(np.eye(rank))
     sigma = 0.1
@@ -462,7 +481,7 @@ def test_innovation_whiteness_matched_model():
                                               + 1j * rng.standard_normal())
         mean, cov, innovation, innovation_var = kf_update(mean, cov, row, sigma, r_n)
         norm_innov[i] = innovation / np.sqrt(innovation_var)
-        mean, cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
+        mean, cov = kf_predict(mean, cov, trans, noise)
     assert abs(np.mean(np.abs(norm_innov[500:]) ** 2) - 1.0) < 0.1
 
 
@@ -498,14 +517,14 @@ def test_fb_combine_reduces_error_monte_carlo():
 
 def test_output_covariances_stay_psd():
     rng = np.random.default_rng(9)
-    model = ArTransitionModel(phi=np.array([[0.9], [0.5]]),
-                              noise_cov=np.diag([0.1, 0.2]) + 0j)
+    trans = companion(np.array([[0.9], [0.5]]))
+    noise = stacked_noise(np.diag([0.1, 0.2]) + 0j, 1)
     mean, cov = np.zeros(2, complex), mat(np.eye(2))
     for _ in range(200):
         row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         mean, cov, _, _ = kf_update(mean, cov, row, 0.1,
                                     rng.standard_normal() + 1j * rng.standard_normal())
-        pred_mean, pred_cov = kf_predict(mean, cov, model.companion, model.process_noise_star)
+        pred_mean, pred_cov = kf_predict(mean, cov, trans, noise)
         for out in (cov, pred_cov):
             evals = np.linalg.eigvalsh(out)
             assert evals.min() >= -1e-8 * max(np.trace(out).real, 1e-30)

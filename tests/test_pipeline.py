@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 import weakref
@@ -9,7 +10,7 @@ import pytest
 from subtrack.channel_sim import (SimConfig, gen_symbols, generate_observations,
                                   latent_trajectory, noise_variance_for_snr,
                                   synth_latent_channel)
-from subtrack.errors import InvalidInputError, NumericError
+from subtrack.errors import InvalidInputError, NumericError, SubtrackError
 from subtrack.pipeline import (ALGORITHMS, TrackerConfig, run_asrmae,
                                run_dfb_asrmae, run_lms)
 
@@ -50,7 +51,6 @@ def test_higher_order_forward_tracking(order):
         flags_off = run_dfb_asrmae(obs, dataclasses.replace(
             cfg, dynamic_phi=False, correlated_noise=False))
     for res in (base, refit):
-        assert res.order == order
         assert np.isfinite(res.h_tracked).all() and np.isfinite(res.xi).all()
         assert np.isfinite(res.err_db).all() and np.isfinite(res.mean_err_db)
     assert np.array_equal(base.h_tracked, flags_off.h_tracked)
@@ -318,3 +318,50 @@ def test_block_fusion_matches_one_shot_fusion(monkeypatch):
         assert np.array_equal(blocked.components, one_shot.components), n_steps
         assert np.array_equal(blocked.xi, one_shot.xi), n_steps
         assert np.array_equal(blocked.h_tracked, one_shot.h_tracked), n_steps
+
+
+@pytest.fixture(scope="module")
+def grid_record():
+    return make_observations(preset="rough", n_taps=8, n_steps=300, n_train=100,
+                             r_true=3)[2]
+
+
+@pytest.mark.parametrize("rank", [1, 3, 8])
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)),
+                         ids=lambda f: "d{:d}c{:d}f{:d}".format(*f))
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_every_configuration_tracks_or_fails_typed(grid_record, order, flags, rank):
+    dynamic_phi, correlated_noise, fb_smoothing = flags
+    cfg = TrackerConfig(order=order, rank=rank, n_train=100, dynamic_phi=dynamic_phi,
+                        correlated_noise=correlated_noise, fb_smoothing=fb_smoothing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = run_dfb_asrmae(grid_record, cfg)
+        except SubtrackError:
+            return
+    assert np.isfinite(res.h_tracked).all() and np.isfinite(res.xi).all()
+
+
+@pytest.mark.parametrize("fb_smoothing", [False, True])
+def test_forward_filter_builds_no_model_object(monkeypatch, fb_smoothing):
+    import subtrack.kalman_core as kalman_core
+    import subtrack.pipeline as pipeline
+
+    builds, inversions = [], []
+
+    class Counting(kalman_core.ArTransitionModel):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    real = pipeline.backward_model
+    monkeypatch.setattr(kalman_core, "ArTransitionModel", Counting)
+    monkeypatch.setattr(pipeline, "ArTransitionModel", Counting)
+    monkeypatch.setattr(pipeline, "backward_model",
+                        lambda model: inversions.append(1) or real(model))
+    _, _, obs, _ = make_observations(preset="rough", n_taps=8, n_steps=400,
+                                     n_train=100, r_true=3)
+    run_dfb_asrmae(obs, TrackerConfig(rank=3, n_train=100, fb_smoothing=fb_smoothing))
+    assert len(builds) == len(inversions)
+    assert (len(inversions) > 0) == fb_smoothing
