@@ -1,9 +1,9 @@
 """Synthetic correlated time-varying channel generator.
 
-The generator gives full ground truth: a low-rank trajectory
-``h(n) = Q(n) z(n)`` where the components ``z`` follow independent AR(1)
-recursions and the basis ``Q`` turns in a fixed random plane orthogonal to
-it, so ``Q(n)`` stays ``Q(0)`` up to rounding.  The one working mismatch with
+The generator gives full ground truth: a low-rank trajectory ``h(n) = Q(n) z(n)``,
+built in closed form, where the components ``z`` follow independent AR(1) recursions
+and the basis ``Q`` (built only when read) turns in a fixed random plane orthogonal
+to it, so ``Q(n)`` stays ``Q(0)`` up to rounding.  The one working mismatch with
 the tracker's own model class is drift of the AR coefficients.
 
 Plus the training-symbol generator and the received-signal synthesizer.
@@ -12,6 +12,7 @@ bit-identical outputs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,11 +49,21 @@ class ChannelTrajectory:
 
 @dataclass
 class SimGroundTruth:
-    """Latent-generator truth: basis sequence, components, and AR parameters."""
+    """Latent-generator truth: components, AR parameters, and the basis, built when read."""
 
-    q_true: np.ndarray        # (N, K, r) orthonormal basis per step
     z_true: np.ndarray        # (N, r) components
     phi_true: np.ndarray      # (N, r) AR(1) coefficients per step
+    q0: np.ndarray            # (K, r) orthonormal basis at step 0
+    plane: np.ndarray         # (K, 2) orthonormal rotation plane; zeros for none
+    omega_q: float            # rotation angle per step, radians
+
+    @cached_property
+    def q_true(self) -> np.ndarray:
+        """(N, K, r) orthonormal basis per step."""
+        coeffs = _turn(self.omega_q, len(self.z_true)) @ (self.plane.conj().T @ self.q0)
+        q_seq = self.plane @ coeffs
+        q_seq += self.q0
+        return q_seq
 
 
 @dataclass(eq=False)
@@ -136,10 +147,18 @@ class SimConfig:
                 for name, value in _PRESETS[self.preset].items()}
 
 
+def _turn(omega_q: float, n_steps: int) -> np.ndarray:
+    """(N, 2, 2) ``M(n)``, the turn by ``n omega_q`` within a plane minus the identity:
+    turned in the orthonormal plane ``(u, v)``, ``Q(n) = q0 + [u, v] M(n) [u, v]^H q0``."""
+    angle = omega_q * np.arange(n_steps)
+    cos1, sin = np.cos(angle) - 1.0, np.sin(angle)
+    return np.stack([np.stack([cos1, -sin], axis=1), np.stack([sin, cos1], axis=1)], axis=1)
+
+
 def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,
                       phi: np.ndarray, noise_cov: np.ndarray, n_steps: int,
                       rng: np.random.Generator):
-    """Low-level latent generator with explicit truth parameters.
+    """Low-level latent generator with explicit truth parameters; ``h`` in closed form.
 
     Parameters
     ----------
@@ -153,9 +172,8 @@ def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,
     """
     q0 = np.asarray(q0, dtype=np.complex128)
     n_taps, r_true = q0.shape
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.ndim == 1:
-        phi = np.broadcast_to(phi, (n_steps, r_true)).copy()
+    plane = np.asarray(np.zeros((n_taps, 2)) if plane is None else plane, dtype=np.complex128)
+    phi = np.broadcast_to(np.asarray(phi, dtype=np.complex128), (n_steps, r_true)).copy()
     noise_std = np.sqrt(np.diag(np.asarray(noise_cov, dtype=np.complex128)).real)
 
     # Stationary start at the initial coefficients (unit-power fallback where
@@ -170,23 +188,10 @@ def latent_trajectory(q0: np.ndarray, plane: np.ndarray, omega_q: float,
     for n in range(1, n_steps):
         z[n] = phi[n] * z[n - 1] + innov[n - 1]
 
-    q_seq = np.empty((n_steps, n_taps, r_true), dtype=np.complex128)
-    q_seq[0] = q0
-    if plane is None or omega_q == 0.0:
-        q_seq[1:] = q0
-    else:
-        u = plane[:, 0]
-        v = plane[:, 1]
-        c, s = np.cos(omega_q), np.sin(omega_q)
-        q = q0.copy()
-        for n in range(1, n_steps):
-            pu = u.conj() @ q
-            pv = v.conj() @ q
-            q = q + np.outer(u, (c - 1.0) * pu - s * pv) + np.outer(v, (c - 1.0) * pv + s * pu)
-            q_seq[n] = q
-
-    h = np.einsum("nkr,nr->nk", q_seq, z)
-    return ChannelTrajectory(h=h), SimGroundTruth(q_true=q_seq, z_true=z, phi_true=phi)
+    # h(n) = [q0, u, v] [z(n); M(n) [u, v]^H q0 z(n)]: no (N, K, r) basis, no (N, K) temporary.
+    in_plane = np.einsum("nij,nj->ni", _turn(omega_q, n_steps), z @ (plane.conj().T @ q0).T)
+    h = np.einsum("kj,nj->nk", np.hstack([q0, plane]), np.hstack([z, in_plane]))
+    return ChannelTrajectory(h=h), SimGroundTruth(z, phi, q0, plane, omega_q)
 
 
 def synth_latent_channel(cfg: SimConfig):
@@ -196,21 +201,18 @@ def synth_latent_channel(cfg: SimConfig):
     AR coefficients run from ``phi_hi`` (strongest component) down to
     ``phi_lo``.  The real random orthonormal basis turns ``omega_q`` radians
     per step in the plane of QR columns ``r_true`` and ``r_true + 1``, both
-    orthogonal to it, so ``q_true`` stays at its first step up to rounding.
-    Under the rough preset every coefficient drifts down by ``phi_drift``.
+    orthogonal to it, so ``q_true`` (built when read) stays at its first step up
+    to rounding.  Under the rough preset every coefficient drifts down by ``phi_drift``.
     """
     rng = np.random.default_rng(cfg.seed)
     raw = rng.standard_normal((cfg.n_taps, cfg.r_true + 2))
     q_full, _ = np.linalg.qr(raw)
     q0 = q_full[:, :cfg.r_true].astype(np.complex128)
-    plane = q_full[:, cfg.r_true:cfg.r_true + 2].astype(np.complex128)
+    plane = q_full[:, cfg.r_true:] if q_full.shape[1] == cfg.r_true + 2 else None
 
     powers = cfg.power_decay ** np.arange(cfg.r_true)
     powers = powers / powers.sum()
-    if cfg.r_true > 1:
-        phi0 = np.linspace(cfg.phi_hi, cfg.phi_lo, cfg.r_true)
-    else:
-        phi0 = np.array([cfg.phi_hi])
+    phi0 = np.linspace(cfg.phi_hi, cfg.phi_lo, cfg.r_true)
     noise_cov = np.diag(powers * (1.0 - phi0 ** 2)).astype(np.complex128)
 
     variation = cfg.variation()

@@ -121,7 +121,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         if (algo, seed) == (diag_algo, seeds[0]):
             return res
         return dataclasses.replace(res, h_tracked=None, components=None, phi_traj=None,
-                                   noise_cov=None, eigen_spectrum=None)
+                                   eigen_spectrum=None)
 
     found = _track(cfg, [(algo, algo, cfg.tracker) for algo in algos], keep)
     results = [(seed, algo, found[algo, seed]) for seed in seeds for algo in algos]

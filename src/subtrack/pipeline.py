@@ -103,7 +103,6 @@ class TrackResult:
     mean_err_db: float             # linear-scale mean over the eval window, in dB
     components: Optional[np.ndarray] = None      # (N, r) z behind h_tracked
     phi_traj: Optional[np.ndarray] = None        # (N, r) |phi_i(1)| per step
-    noise_cov: Optional[np.ndarray] = None       # (r, r) process noise used
     eigen_spectrum: Optional[np.ndarray] = None  # (K,) normalized eigenvalues
 
 
@@ -264,8 +263,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
                                                   eval_start=n_train)
     return TrackResult(
         algo=algo, h_tracked=h_out, xi=xi_out, err_db=err_db, mean_err_db=mean_db,
-        components=z_out, phi_traj=phi_traj, noise_cov=noise_cov,
-        eigen_spectrum=normalized_spectrum(coarse.eigenvalues))
+        components=z_out, phi_traj=phi_traj, eigen_spectrum=normalized_spectrum(coarse.eigenvalues))
 
 
 def run_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:

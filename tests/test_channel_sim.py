@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,68 @@ def small_cfg(**kw):
     return SimConfig(**params)
 
 
+def rotation_inputs(n_taps=16, r_true=3, seed=0):
+    """``q0``, the simulator's own plane (orthogonal to q0) and a plane that
+    meets q0's span: u = the normalised sum of q0's columns, v = the first
+    QR column outside q0."""
+    q_full, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n_taps, r_true + 2)))
+    q0 = q_full[:, :r_true]
+    u = q0.sum(axis=1) / np.linalg.norm(q0.sum(axis=1))
+    return q0, q_full[:, r_true:], np.column_stack([u, q_full[:, r_true]])
+
+
+def rotated(q0, plane, omega_q, n_steps, seed=1):
+    phi = np.linspace(0.999, 0.99, q0.shape[1])
+    return latent_trajectory(q0, plane, omega_q, phi, np.diag(1.0 - phi ** 2), n_steps,
+                             np.random.default_rng(seed))
+
+
+def givens_reference(q0, plane, omega_q, z):
+    """Per-step Givens rotation of ``q0`` in ``plane``: returns ``h`` and the basis stack."""
+    q_seq = np.empty((len(z),) + q0.shape, dtype=np.complex128)
+    q_seq[0] = q0
+    if plane is None or omega_q == 0.0:
+        q_seq[1:] = q0
+    else:
+        u, v = plane[:, 0], plane[:, 1]
+        c, s = np.cos(omega_q), np.sin(omega_q)
+        q = q0.astype(np.complex128)
+        for n in range(1, len(z)):
+            pu = u.conj() @ q
+            pv = v.conj() @ q
+            q = q + np.outer(u, (c - 1.0) * pu - s * pv) + np.outer(v, (c - 1.0) * pv + s * pu)
+            q_seq[n] = q
+    return np.einsum("nkr,nr->nk", q_seq, z), q_seq
+
+
 # ------------------------------------------------------------------ latent
+@pytest.mark.parametrize("plane_kind,omega_q", [("own", 3e-3), ("meets_span", 3e-3),
+                                                ("none", 3e-3), ("meets_span", 0.0)])
+def test_latent_closed_form_matches_givens_loop(plane_kind, omega_q):
+    q0, own, meets = rotation_inputs()
+    plane = {"own": own, "meets_span": meets, "none": None}[plane_kind]
+    traj, truth = rotated(q0, plane, omega_q, 500)
+    want_h, want_q = givens_reference(q0, plane, omega_q, truth.z_true)
+    tol = 1e-12 * np.max(np.abs(want_h))
+    assert np.max(np.abs(traj.h - want_h)) < tol
+    assert truth.q_true.shape == want_q.shape and truth.q_true.dtype == np.complex128
+    assert np.max(np.abs(truth.q_true - want_q)) < tol
+
+
+def test_truth_basis_is_built_only_when_read():
+    cfg = SimConfig(n_taps=32, n_steps=4000, n_train=1000, r_true=8, preset="rough", seed=3)
+    stack_bytes = cfg.n_steps * cfg.n_taps * cfg.r_true * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        _, truth = synth_latent_channel(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
+    assert truth.q_true.nbytes == stack_bytes
+    assert truth.q_true is truth.q_true
+
+
 def test_latent_frozen_dynamics():
     rng = np.random.default_rng(0)
     q0, _ = np.linalg.qr(rng.standard_normal((8, 2)))
@@ -47,17 +109,26 @@ def test_latent_determinism():
 
 def test_latent_projection_recovers_components():
     cfg = small_cfg(preset="calm", omega_q=5e-3)
-    traj, truth = synth_latent_channel(cfg)
-    for n in (0, 50, 199):
-        z = truth.q_true[n].conj().T @ traj.h[n]
-        assert_allclose(z, truth.z_true[n], atol=1e-10)
+    q0, _, meets = rotation_inputs(cfg.n_taps, cfg.r_true)
+    for traj, truth in (synth_latent_channel(cfg), rotated(q0, meets, 5e-3, cfg.n_steps)):
+        for n in (0, 50, 199):
+            z = truth.q_true[n].conj().T @ traj.h[n]
+            assert_allclose(z, truth.z_true[n], atol=1e-10)
 
 
 def test_latent_basis_stays_orthonormal():
+    """The simulator's own plane is orthogonal to the basis and leaves it in
+    place; a plane that meets the span turns it by ``n omega_q``."""
     cfg = small_cfg(n_steps=500, omega_q=2e-3)
-    _, truth = synth_latent_channel(cfg)
-    last = truth.q_true[-1]
-    assert_allclose(last.conj().T @ last, np.eye(cfg.r_true), atol=1e-10)
+    q0, _, meets = rotation_inputs(cfg.n_taps, cfg.r_true)
+    own = synth_latent_channel(cfg)[1]
+    turned = rotated(q0, meets, 2e-3, cfg.n_steps)[1]
+    for truth, turn_per_step in ((own, 0.0), (turned, 2e-3)):
+        last = truth.q_true[-1]
+        assert_allclose(last.conj().T @ last, np.eye(cfg.r_true), atol=1e-10)
+        for n in (1, 200, 499):
+            angle = scipy.linalg.subspace_angles(truth.q_true[0], truth.q_true[n]).max()
+            assert abs(angle - n * turn_per_step) < 1e-9
 
 
 def test_latent_rejects_bad_rank():

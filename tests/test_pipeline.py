@@ -10,6 +10,7 @@ import pytest
 from subtrack.channel_sim import (SimConfig, gen_symbols, generate_observations,
                                   latent_trajectory, noise_variance_for_snr,
                                   synth_latent_channel)
+from subtrack.coarse_est import fit_coarse_model, lms_track
 from subtrack.errors import InvalidInputError, NumericError, SubtrackError
 from subtrack.pipeline import (ALGORITHMS, TrackerConfig, run_asrmae,
                                run_dfb_asrmae, run_lms)
@@ -127,7 +128,6 @@ def test_track_result_shapes_and_diagnostics():
     assert res.xi.shape == (n,)
     assert res.err_db.shape == (n,)
     assert res.phi_traj.shape == (n, 6)
-    assert res.noise_cov.shape == (6, 6)
     assert res.eigen_spectrum.shape == (k,)
     assert res.components.shape == (n, 6)
     assert np.isfinite(res.mean_err_db)
@@ -135,14 +135,13 @@ def test_track_result_shapes_and_diagnostics():
 
 def test_correlated_noise_flag_changes_model():
     _, _, obs, _ = make_observations(preset="rough")
-    diag_res = run_dfb_asrmae(obs, TrackerConfig(
-        rank=6, n_train=500, correlated_noise=False))
-    full_res = run_dfb_asrmae(obs, TrackerConfig(
-        rank=6, n_train=500, correlated_noise=True))
-    off_diag = full_res.noise_cov - np.diag(np.diag(full_res.noise_cov))
-    assert np.max(np.abs(off_diag)) > 0
-    assert np.max(np.abs(np.diag(np.diag(diag_res.noise_cov))
-                         - diag_res.noise_cov)) == 0
+    cfg = TrackerConfig(rank=6, n_train=500)
+    coarse = fit_coarse_model(lms_track(obs.d, obs.r, cfg.mu), cfg.n_train, cfg.rank,
+                              cfg.order, cfg.mu)
+    assert np.max(np.abs(coarse.noise_full - np.diag(np.diag(coarse.noise_full)))) > 0
+    diag_res = run_dfb_asrmae(obs, dataclasses.replace(cfg, correlated_noise=False))
+    full_res = run_dfb_asrmae(obs, dataclasses.replace(cfg, correlated_noise=True))
+    assert not np.array_equal(diag_res.xi, full_res.xi)
 
 
 def test_tracked_channel_follows_truth():
