@@ -15,7 +15,7 @@ from .coarse_est import (CoarseModel, autocorrelation_table,
                          estimate_channel_covariance,
                          estimate_component_autocorrelation,
                          estimate_process_noise_correlated, fit_coarse_model,
-                         lms_residuals, lms_track, project_components)
+                         lms_track, project_components)
 from .errors import (ConfigError, DegenerateInputError, DivergenceError,
                      FusionError, InvalidInputError, NumericError,
                      SingularModelError, SubtrackError, TrackerStallError,

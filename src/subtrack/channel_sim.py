@@ -23,6 +23,8 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.s
 # Each preset's rotation angle per step (omega_q; it moves no basis column) and AR drift.
 _PRESETS = {"calm": {"omega_q": 2e-4, "phi_drift": 0.0},
             "rough": {"omega_q": 2e-3, "phi_drift": 0.05}}
+# At or below this SNR the noise-to-signal ratio 10^(-snr_db/10) overflows a float.
+_MIN_SNR_DB = -10.0 * float(np.log10(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -126,9 +128,9 @@ class SimConfig:
             raise InvalidInputError(
                 f"SimConfig: need 0 <= phi_lo <= phi_hi < 1, got "
                 f"{self.phi_lo}, {self.phi_hi}")
-        if not self.snr_db > -np.inf:  # +inf is noise-free
+        if not self.snr_db > _MIN_SNR_DB:  # +inf is noise-free
             raise InvalidInputError(
-                f"SimConfig: snr_db must be a number above -inf, got {self.snr_db}")
+                f"SimConfig: snr_db must be above {_MIN_SNR_DB:.2f} dB, got {self.snr_db}")
         variation = self.variation()
         for name, value in variation.items():
             if not np.isfinite(value):
@@ -210,7 +212,9 @@ def synth_latent_channel(cfg: SimConfig):
     q0 = q_full[:, :cfg.r_true].astype(np.complex128)
     plane = q_full[:, cfg.r_true:] if q_full.shape[1] == cfg.r_true + 2 else None
 
-    powers = cfg.power_decay ** np.arange(cfg.r_true)
+    # Relative to the strongest component (the last when powers grow): none overflows.
+    lags = np.arange(cfg.r_true) - (cfg.r_true - 1 if cfg.power_decay > 1 else 0)
+    powers = cfg.power_decay ** lags
     powers = powers / powers.sum()
     phi0 = np.linspace(cfg.phi_hi, cfg.phi_lo, cfg.r_true)
     noise_cov = np.diag(powers * (1.0 - phi0 ** 2)).astype(np.complex128)

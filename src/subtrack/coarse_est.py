@@ -21,7 +21,6 @@ LMS_DIVERGENCE_FACTOR = 1e6
 class CoarseModel:
     """Everything the training phase produces for the trackers."""
 
-    channel_cov: np.ndarray    # (K, K) Hermitian sample covariance
     basis: np.ndarray          # (K, r) dominant-subspace basis
     eigenvalues: np.ndarray    # (K,) descending covariance eigenvalues
     autocorr: np.ndarray       # (r, p+1) component autocorrelation table
@@ -30,14 +29,15 @@ class CoarseModel:
     noise_full: np.ndarray     # (r, r) correlated process-noise covariance
 
 
-def lms_track(d: np.ndarray, r_seq: np.ndarray, mu: float) -> np.ndarray:
+def lms_track(d: np.ndarray, r_seq: np.ndarray, mu: float):
     """Run the LMS recursion over symbol windows ``d`` and observations ``r_seq``.
 
     The error is ``e(n) = r(n) - h^H(n) d(n)`` and the update
     ``h(n+1) = h(n) + 2 mu conj(e(n)) d(n)``, i.e. a stochastic descent step
     on ``|e|^2`` that reduces to the plain real-signal recursion for real
-    data.  The recursion starts from zero.  Returns the post-update estimate
-    sequence, one row per step.
+    data.  The recursion starts from zero.  Returns ``(h_seq, errors)``: the
+    post-update estimates, one row per step, and the a-priori errors
+    ``e(n) = r(n) - h^H(n-1) d(n)`` they were updated with.
     """
     if not mu > 0:
         raise InvalidInputError(f"lms_track: mu must be positive, got {mu}")
@@ -54,24 +54,15 @@ def lms_track(d: np.ndarray, r_seq: np.ndarray, mu: float) -> np.ndarray:
 
     h = np.zeros(n_taps, dtype=np.complex128)
     out = np.empty((n_steps, n_taps), dtype=np.complex128)
+    errors = np.empty(n_steps, dtype=np.complex128)
     for n in range(n_steps):
-        e = r_seq[n] - np.vdot(h, d[n])
+        errors[n] = e = r_seq[n] - np.vdot(h, d[n])
         h = h + two_mu * np.conj(e) * d[n]
         out[n] = h
         if not np.isfinite(e) or np.abs(h).max() > limit:
             raise DivergenceError(
                 f"lms_track: estimate diverged at step {n} with mu={mu}")
-    return out
-
-
-def lms_residuals(d: np.ndarray, r_seq: np.ndarray, h_seq: np.ndarray) -> np.ndarray:
-    """A-priori errors ``e(n) = r(n) - h^H(n-1) d(n)`` for a sequence tracked
-    from ``h(-1) = 0``."""
-    d = np.asarray(d, dtype=np.complex128)
-    prev = np.empty_like(h_seq)
-    prev[0] = 0.0
-    prev[1:] = h_seq[:-1]
-    return np.asarray(r_seq).reshape(-1) - np.einsum("nk,nk->n", prev.conj(), d)
+    return out, errors
 
 
 def estimate_channel_covariance(h_seq: np.ndarray) -> np.ndarray:
@@ -157,14 +148,13 @@ def fit_coarse_model(h_lms: np.ndarray, n_train: int, rank: int, order: int,
     """
     warmup = lms_warmup_length(mu, n_train)
     window = np.asarray(h_lms, dtype=np.complex128)[warmup:n_train]
-    cov = estimate_channel_covariance(window)
-    dec = evd_hermitian(cov)
+    dec = evd_hermitian(estimate_channel_covariance(window))
     basis = truncate_subspace(dec, rank)
     z_lms = project_components(window, basis)
     table = autocorrelation_table(z_lms, order)
     sol = solve_yule_walker(table, order)
     noise_full = estimate_process_noise_correlated(z_lms, sol.phi)
-    return CoarseModel(channel_cov=cov, basis=basis, eigenvalues=dec.eigenvalues,
+    return CoarseModel(basis=basis, eigenvalues=dec.eigenvalues,
                        autocorr=table, phi=sol.phi,
                        noise_diag=np.diag(sol.noise_variance).astype(np.complex128),
                        noise_full=noise_full)

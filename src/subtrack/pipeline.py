@@ -9,8 +9,9 @@ flag reproduces the baseline bit for bit.
 
 The front end has one path: one LMS pass over the whole record, the coarse
 fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
-estimates.  While a record lives the runners share its LMS pass, one coarse
-fit per rank and one PAST-d pass for every rank.  The forward filter carries
+estimates.  While a record lives the runners share one LMS pass per ``mu``
+(its estimates and its a-priori errors), one coarse fit per rank and order,
+and one PAST-d pass for every rank and order.  The forward filter carries
 each step's (r, p) AR coefficients, predicts through their companion matrix
 and the process noise stacked once per run, and keeps them in one (N, r, p)
 ``phis`` array, from which :func:`~subtrack.kalman_core.backward_model`
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .channel_sim import ObservationSequence
-from .coarse_est import fit_coarse_model, lms_residuals, lms_track
+from .coarse_est import fit_coarse_model, lms_track
 from .errors import InvalidInputError, NumericError
 # fb_combine, cross_path_coherence and eigenvalue_spectrum are unused here but
 # stay bound: the benchmark's tracer wraps them.
@@ -50,8 +51,8 @@ class TrackerConfig:
 
     ``n_train`` is the training-prefix length; ``sigma_v2`` overrides the
     observation-noise variance the filter assumes (default: take it from the
-    simulator, estimating from LMS residuals only when the simulator reports
-    none).  The three flags select the enhancements of the forward-backward
+    simulator, else the mean power of the LMS errors over the last quarter of
+    training).  The three flags select the enhancements of the forward-backward
     tracker; the baseline forces them all off.  ``mu`` and a set ``sigma_v2``
     must be positive and finite, ``floor_db`` finite; ``reorth_period`` 0 never
     re-orthonormalises.
@@ -107,25 +108,27 @@ class TrackResult:
 
 
 def _filter_noise_variance(cfg: TrackerConfig, obs: ObservationSequence,
-                           h_lms: np.ndarray) -> float:
+                           lms_errors: np.ndarray) -> float:
     """Observation-noise variance the filter assumes, floored positive."""
     if cfg.sigma_v2 is not None:
         value = float(cfg.sigma_v2)
     elif obs.sigma_v2 > 0:
         value = float(obs.sigma_v2)
     else:
-        n_train = cfg.n_train
-        resid = lms_residuals(obs.d[:n_train], obs.r[:n_train], h_lms[:n_train])
-        tail = resid[3 * n_train // 4:]
+        tail = lms_errors[3 * cfg.n_train // 4:cfg.n_train]
         value = float(np.mean(np.abs(tail) ** 2))
     floor = 1e-12 * float(np.mean(np.abs(obs.r) ** 2))
     return max(value, floor, 1e-300)
 
 
 def _read_only(value):
-    """Mark ``value``'s arrays, and a dataclass's arrays at any depth, read-only."""
+    """Mark ``value``'s arrays, and a tuple's or a dataclass's arrays at any
+    depth, read-only."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
     elif is_dataclass(value):
         for item in fields(value):
             _read_only(getattr(value, item.name))
@@ -148,20 +151,23 @@ def _shared(obs: ObservationSequence, key: tuple, build, reuse=lambda held: True
     return held
 
 
-def _lms(obs: ObservationSequence, cfg: TrackerConfig) -> np.ndarray:
+def _lms(obs: ObservationSequence, cfg: TrackerConfig):
+    """``(h_lms, errors)`` of the record's LMS pass at ``cfg.mu``."""
     return _shared(obs, ("lms", cfg.mu), lambda: lms_track(obs.d, obs.r, cfg.mu))
 
 
 def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
     """LMS over the whole record -> coarse model fit on its training prefix ->
-    PAST-d basis sequence ``q_seq`` (N, K, r) driven by the LMS estimates.
+    PAST-d basis sequence ``q_seq`` (N, K, r) driven by the LMS estimates;
+    returns the LMS errors, the coarse fit and ``q_seq``.
 
     PAST-d deflates, so column i never sees a later column: the first r
     columns of a rank-R pass are the rank-r pass, and one pass serves every
-    rank up to R.  The coarse fit stays per rank (its full process-noise
-    floor is not rank-nested).
+    rank up to R.  It starts from the fit's basis and eigenvalues, which no
+    AR order changes, so it serves every order too.  The coarse fit stays per
+    rank and order (its full process-noise floor is not rank-nested).
     """
-    h_lms = _lms(obs, cfg)
+    h_lms, lms_errors = _lms(obs, cfg)
     coarse = _shared(obs, ("coarse", cfg.mu, cfg.n_train, cfg.rank, cfg.order),
                      lambda: fit_coarse_model(h_lms, cfg.n_train, cfg.rank,
                                               cfg.order, cfg.mu))
@@ -176,10 +182,9 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
             q_seq[n] = pastd.step(h_lms[n])
         return q_seq
 
-    q_seq = _shared(obs, ("pastd", cfg.mu, cfg.n_train, cfg.order, cfg.beta,
-                          cfg.reorth_period), build_pastd,
-                    reuse=lambda held: held.shape[2] >= cfg.rank)
-    return h_lms, coarse, q_seq[:, :, :cfg.rank]
+    q_seq = _shared(obs, ("pastd", cfg.mu, cfg.n_train, cfg.beta, cfg.reorth_period),
+                    build_pastd, reuse=lambda held: held.shape[2] >= cfg.rank)
+    return lms_errors, coarse, q_seq[:, :, :cfg.rank]
 
 
 def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
@@ -193,10 +198,10 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
             f"tracker: need 0 < n_train < n_steps, got {n_train}, {n_steps}")
     dim = rank * order
 
-    h_lms, coarse, q_seq = _front_end(obs, cfg)
+    lms_errors, coarse, q_seq = _front_end(obs, cfg)
     noise_cov = coarse.noise_full if cfg.correlated_noise else coarse.noise_diag
     noise, phi, trans = stacked_noise(noise_cov, order), coarse.phi, companion(coarse.phi)
-    sigma = _filter_noise_variance(cfg, obs, h_lms)
+    sigma = _filter_noise_variance(cfg, obs, lms_errors)
 
     rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
     xi_fwd = np.empty(n_steps, dtype=np.complex128)
@@ -292,8 +297,7 @@ def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     if not 0 < cfg.n_train < n_steps:
         raise InvalidInputError(
             f"tracker: need 0 < n_train < n_steps, got {cfg.n_train}, {n_steps}")
-    h_lms = _lms(obs, cfg)
-    xi = lms_residuals(obs.d, obs.r, h_lms)
+    h_lms, xi = _lms(obs, cfg)
     err_db, mean_db = normalized_prediction_error(xi, obs.r, cfg.floor_db,
                                                   eval_start=cfg.n_train)
     return TrackResult(algo="lms", h_tracked=h_lms, xi=xi, err_db=err_db,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -621,7 +622,7 @@ OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.m
                 "tracker.sigma_v2=-1", "tracker.sigma_v2=0", "tracker.sigma_v2=nan",
                 "tracker.sigma_v2=inf", "tracker.reorth_period=-1",
                 "tracker.floor_db=nan", "tracker.floor_db=inf",
-                "sim.snr_db=nan", "sim.snr_db=-inf", "sim.omega_q=nan",
+                "sim.snr_db=nan", "sim.snr_db=-inf", "sim.snr_db=-1e300", "sim.omega_q=nan",
                 "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1",
                 "sim.preset=stormy", "sim.r_true=63", "sim.r_true=64"]
 
@@ -655,12 +656,15 @@ def test_reorth_period_zero_still_means_never():
 
 
 # A rotating basis needs r_true + 2 <= n_taps (12 here); a fixed one takes every tap.
+# Growing powers are taken relative to the strongest, so a huge decay does not overflow.
 @pytest.mark.parametrize("override", ["sim.snr_db=inf", "sim.power_decay=0", "sim.r_true=10",
-                                      "sim.omega_q=0 sim.r_true=12"])
+                                      "sim.omega_q=0 sim.r_true=12", "sim.power_decay=1e300"])
 def test_edge_sim_values_still_run(tmp_path, override):
     overrides = [arg for item in override.split() for arg in ("--override", item)]
-    assert run_cli(["run", *SMALL, *overrides, "--seed", "0",
-                    "--out", tmp_path / "out"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", *SMALL, *overrides, "--seed", "0",
+                        "--out", tmp_path / "out"]) == 0
 
 
 @pytest.mark.parametrize("args,calls", [

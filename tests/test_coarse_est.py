@@ -7,7 +7,7 @@ from subtrack.coarse_est import (autocorrelation_table,
                                  estimate_channel_covariance,
                                  estimate_component_autocorrelation,
                                  estimate_process_noise_correlated,
-                                 fit_coarse_model, lms_residuals, lms_track,
+                                 fit_coarse_model, lms_track,
                                  project_components)
 from subtrack.errors import DivergenceError, InvalidInputError
 from subtrack.kalman_core import companion
@@ -29,7 +29,7 @@ def ar1_samples(phi, n, rng, power=1.0):
 def test_lms_scalar_recursion_hand_values():
     d = np.ones((2, 1))
     r = np.ones(2)
-    out = lms_track(d, r, 0.25)
+    out, _ = lms_track(d, r, 0.25)
     assert_allclose(out[:, 0], [0.5, 0.75], atol=1e-14)
 
 
@@ -40,7 +40,7 @@ def test_lms_convergence_to_real_static_channel():
     h_true = rng.standard_normal(k)
     d = symbol_windows(gen_symbols(5000, seed=3), k)
     r = np.einsum("nk,k->n", d, h_true)
-    out = lms_track(d, r, 0.01)
+    out, _ = lms_track(d, r, 0.01)
     assert np.linalg.norm(out[-1] - h_true) / np.linalg.norm(h_true) < 1e-2
 
 
@@ -57,12 +57,16 @@ def test_lms_rejects_nonpositive_mu(mu):
         lms_track(np.ones((2, 1)), np.ones(2), mu)
 
 
-def test_lms_residuals_are_apriori_errors():
-    d = np.ones((3, 1))
-    r = np.ones(3)
-    out = lms_track(d, r, 0.25)
-    resid = lms_residuals(d, r, out)
-    assert_allclose(resid, [1.0, 0.5, 0.25], atol=1e-14)
+def test_lms_errors_are_apriori_errors():
+    _, errors = lms_track(np.ones((3, 1)), np.ones(3), 0.25)
+    assert_allclose(errors, [1.0, 0.5, 0.25], atol=1e-14)
+    # e(n) = r(n) - h^H(n-1) d(n) from h(-1) = 0, on a complex record.
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal((400, 6)) + 1j * rng.standard_normal((400, 6))
+    r = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    h_seq, errors = lms_track(d, r, 0.01)
+    prev = np.vstack([np.zeros((1, 6)), h_seq[:-1]])
+    assert_allclose(errors, r - np.einsum("nk,nk->n", prev.conj(), d), rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- covariance

@@ -136,7 +136,7 @@ def test_track_result_shapes_and_diagnostics():
 def test_correlated_noise_flag_changes_model():
     _, _, obs, _ = make_observations(preset="rough")
     cfg = TrackerConfig(rank=6, n_train=500)
-    coarse = fit_coarse_model(lms_track(obs.d, obs.r, cfg.mu), cfg.n_train, cfg.rank,
+    coarse = fit_coarse_model(lms_track(obs.d, obs.r, cfg.mu)[0], cfg.n_train, cfg.rank,
                               cfg.order, cfg.mu)
     assert np.max(np.abs(coarse.noise_full - np.diag(np.diag(coarse.noise_full)))) > 0
     diag_res = run_dfb_asrmae(obs, dataclasses.replace(cfg, correlated_noise=False))
@@ -220,10 +220,10 @@ def test_front_end_goes_with_its_record():
 
     _, _, obs, _ = make_observations()
     run_asrmae(obs, TrackerConfig(rank=6, n_train=500))
-    held = [weakref.ref(value) for value in pipeline._FRONT_ENDS[obs].values()]
-    assert len(held) == 3  # LMS, the coarse fit and PAST-d
-    del obs
-    assert [ref() for ref in held] == [None] * 3
+    (h_lms, lms_errors), coarse, q_seq = pipeline._FRONT_ENDS[obs].values()
+    held = [weakref.ref(value) for value in (h_lms, lms_errors, coarse, q_seq)]
+    del obs, h_lms, lms_errors, coarse, q_seq
+    assert [ref() for ref in held] == [None] * 4
 
 
 def test_record_and_front_end_are_read_only():
@@ -231,9 +231,11 @@ def test_record_and_front_end_are_read_only():
     cfg = TrackerConfig(rank=6, n_train=500)
     with pytest.raises(ValueError):
         obs.r[0] = 0.0
-    h_lms = run_lms(obs, cfg).h_tracked
+    lms = run_lms(obs, cfg)
     with pytest.raises(ValueError):
-        h_lms[0, 0] = 0.0
+        lms.h_tracked[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        lms.xi[0] = 0.0
     assert_same_result(run_asrmae(obs, cfg), run_asrmae(fresh(obs), cfg))
 
 
@@ -256,6 +258,35 @@ def test_one_pastd_pass_sliced_across_ranks(monkeypatch):
         assert_same_result(a, b)
 
 
+def test_one_pastd_pass_serves_every_order(monkeypatch):
+    import subtrack.pipeline as pipeline
+
+    built = []
+    real = pipeline.PastdTracker
+    monkeypatch.setattr(pipeline, "PastdTracker",
+                        lambda *a, **kw: built.append(1) or real(*a, **kw))
+    _, _, obs, _ = make_observations(preset="rough")
+    # Smoothing stays off: the p >= 2 backward pass overflows.
+    cfgs = [TrackerConfig(order=order, rank=6, n_train=500, fb_smoothing=False)
+            for order in (1, 3)]
+    alone = [run_dfb_asrmae(fresh(obs), cfg) for cfg in cfgs]
+    built.clear()
+    shared = [run_dfb_asrmae(obs, cfg) for cfg in cfgs]
+    assert len(built) == 1
+    for a, b in zip(alone, shared):
+        assert_same_result(a, b)
+
+
+def test_noise_fallback_is_the_lms_error_power_over_the_last_training_quarter():
+    _, _, obs, _ = make_observations(snr_db=np.inf)
+    assert obs.sigma_v2 == 0
+    cfg = TrackerConfig(rank=6, n_train=500)
+    _, errors = lms_track(obs.d, obs.r, cfg.mu)
+    tail = errors[3 * 500 // 4:500]
+    pinned = dataclasses.replace(cfg, sigma_v2=float(np.mean(np.abs(tail) ** 2)))
+    assert_same_result(run_asrmae(obs, cfg), run_asrmae(fresh(obs), pinned))
+
+
 @pytest.mark.parametrize("dynamic_phi", [False, True])
 def test_backward_pass_inverts_each_distinct_model_once(monkeypatch, dynamic_phi):
     import subtrack.pipeline as pipeline
@@ -274,14 +305,16 @@ def test_backward_pass_inverts_each_distinct_model_once(monkeypatch, dynamic_phi
 
 
 def test_eigen_spectrum_is_the_coarse_fit_covariance_spectrum():
-    from subtrack.coarse_est import fit_coarse_model, lms_track
+    from subtrack.coarse_est import estimate_channel_covariance, lms_warmup_length
     from subtrack.metrics import eigenvalue_spectrum
 
     _, _, obs, _ = make_observations()
     cfg = TrackerConfig(rank=6, n_train=500)
     res = run_asrmae(obs, cfg)
-    coarse = fit_coarse_model(lms_track(obs.d, obs.r, cfg.mu), 500, 6, 1, cfg.mu)
-    assert np.array_equal(res.eigen_spectrum, eigenvalue_spectrum(coarse.channel_cov))
+    h_lms, _ = lms_track(obs.d, obs.r, cfg.mu)
+    window = h_lms[lms_warmup_length(cfg.mu, 500):500]
+    assert np.array_equal(res.eigen_spectrum,
+                          eigenvalue_spectrum(estimate_channel_covariance(window)))
 
 
 def test_backward_sweep_stays_under_two_covariance_stacks():
