@@ -13,7 +13,6 @@ from .channel_sim import (ChannelTrajectory, ObservationSequence, SimConfig,
                           symbol_windows, synth_latent_channel)
 from .coarse_est import (CoarseModel, autocorrelation_table,
                          estimate_channel_covariance,
-                         estimate_component_autocorrelation,
                          estimate_process_noise_correlated, fit_coarse_model,
                          lms_track, project_components)
 from .errors import (ConfigError, DegenerateInputError, DivergenceError,
@@ -22,9 +21,8 @@ from .errors import (ConfigError, DegenerateInputError, DivergenceError,
                      UndefinedMetricError)
 from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model, companion,
                           fb_combine, kf_predict, kf_update, predict_transition, stacked_noise)
-from .linalg_spectral import (EigenDecomposition, YuleWalkerSolution,
-                              evd_hermitian, solve_yule_walker,
-                              truncate_subspace)
+from .linalg_spectral import (EigenDecomposition, evd_hermitian,
+                              solve_yule_walker, truncate_subspace)
 from .metrics import (CoherenceMatrix, cross_path_coherence,
                       eigenvalue_spectrum, normalized_prediction_error)
 from .pipeline import (ALGORITHMS, TrackerConfig, TrackResult, run_asrmae,

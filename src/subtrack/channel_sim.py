@@ -266,6 +266,14 @@ def generate_observations(traj: ChannelTrajectory, symbols: np.ndarray,
 
 
 def noise_variance_for_snr(traj: ChannelTrajectory, snr_db: float) -> float:
-    """Observation-noise variance giving the requested SNR for unit-power symbols."""
+    """Observation-noise variance giving the requested SNR for unit-power symbols.
+
+    Raises ``InvalidInputError`` when that variance overflows a float.
+    """
     signal_power = float(np.mean(np.sum(np.abs(traj.h) ** 2, axis=1)))
-    return signal_power * 10.0 ** (-snr_db / 10.0)
+    sigma_v2 = signal_power * 10.0 ** (-snr_db / 10.0)
+    if not np.isfinite(sigma_v2):
+        raise InvalidInputError(
+            f"noise_variance_for_snr: noise variance for {snr_db} dB SNR at signal "
+            f"power {signal_power:.3g} is not a finite float")
+    return sigma_v2

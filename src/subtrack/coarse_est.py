@@ -1,8 +1,9 @@
 """Training-phase initialization: LMS estimate, covariance, AR-coefficient fit.
 
 The chain runs: LMS coarse channel estimates -> time-invariant channel
-covariance -> dominant-subspace projection -> per-component autocorrelations
--> one stacked Yule-Walker fit of the AR coefficients, plus two process-noise
+covariance -> dominant-subspace projection -> one (r, p+1) table of
+per-component autocorrelations at lags 0..p -> one stacked Yule-Walker fit of
+that table's AR coefficients, plus two process-noise
 covariance estimates (diagonal from the Yule-Walker innovations, full from the
 fitted residuals).  The trackers build their transition models from these.
 """
@@ -80,27 +81,21 @@ def project_components(h_seq: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return h_seq @ np.asarray(basis).conj()
 
 
-def estimate_component_autocorrelation(z_seq: np.ndarray, lag: int) -> np.ndarray:
-    """Per-component lag-``lag`` autocorrelation over the N rows of ``z_seq``.
+def autocorrelation_table(z_seq: np.ndarray, order: int) -> np.ndarray:
+    """Per-component autocorrelations at lags 0..order over the N rows of
+    ``z_seq``, as an (r, order+1) table.
 
-    ``(1/N) sum_n z(n) conj(z(n - lag))`` with the pre-start history treated
-    as zero; the divisor stays the row count N regardless of the lag.
+    Column m is ``(1/N) sum_n z(n) conj(z(n - m))`` with the pre-start
+    history treated as zero; the divisor stays the row count N at every lag.
     """
     z_seq = np.atleast_2d(np.asarray(z_seq, dtype=np.complex128))
     n_rows = z_seq.shape[0]
-    if not 0 <= lag < n_rows:
+    if not 0 <= order < n_rows:
         raise InvalidInputError(
-            f"estimate_component_autocorrelation: need 0 <= lag < rows, "
-            f"got lag={lag} for {n_rows} rows")
-    if lag == 0:
-        return np.sum(z_seq * z_seq.conj(), axis=0) / n_rows
-    return np.sum(z_seq[lag:] * z_seq[:-lag].conj(), axis=0) / n_rows
-
-
-def autocorrelation_table(z_seq: np.ndarray, order: int) -> np.ndarray:
-    """Stack lags 0..order into an (r, order+1) table."""
-    cols = [estimate_component_autocorrelation(z_seq, m) for m in range(order + 1)]
-    return np.stack(cols, axis=1)
+            f"autocorrelation_table: need 0 <= order < rows, "
+            f"got order={order} for {n_rows} rows")
+    return np.stack([np.sum(z_seq[m:] * z_seq[:n_rows - m].conj(), axis=0) / n_rows
+                     for m in range(order + 1)], axis=1)
 
 
 def estimate_process_noise_correlated(z_seq: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -152,9 +147,9 @@ def fit_coarse_model(h_lms: np.ndarray, n_train: int, rank: int, order: int,
     basis = truncate_subspace(dec, rank)
     z_lms = project_components(window, basis)
     table = autocorrelation_table(z_lms, order)
-    sol = solve_yule_walker(table, order)
-    noise_full = estimate_process_noise_correlated(z_lms, sol.phi)
+    phi, noise_variance = solve_yule_walker(table)
+    noise_full = estimate_process_noise_correlated(z_lms, phi)
     return CoarseModel(basis=basis, eigenvalues=dec.eigenvalues,
-                       autocorr=table, phi=sol.phi,
-                       noise_diag=np.diag(sol.noise_variance).astype(np.complex128),
+                       autocorr=table, phi=phi,
+                       noise_diag=np.diag(noise_variance).astype(np.complex128),
                        noise_full=noise_full)

@@ -139,11 +139,12 @@ def predict_transition(table: np.ndarray,
     (r, p+1) autocorrelation table; its shape gives the rank r and the order p.
 
     At p = 1 each coefficient is R(1)/R(0); at p >= 2 every component's
-    coefficients come from one stacked Yule-Walker solve over the table's
-    rows.  Coefficients on or outside the unit circle are radially projected to
-    magnitude ``1 - 1e-6`` with their phase preserved.  If any component's
-    zero-lag power is nonpositive the ``previous`` coefficients are returned
-    as-is.
+    coefficients come from one stacked Yule-Walker solve of the table
+    (:func:`~subtrack.linalg_spectral.solve_yule_walker`, which reads p from
+    the same width).  Coefficients on or outside the unit circle are radially
+    projected to magnitude ``1 - 1e-6`` with their phase preserved.  If any
+    component's zero-lag power is nonpositive the ``previous`` coefficients
+    are returned as-is.
     """
     table = np.asarray(table, dtype=np.complex128)
     if table.ndim != 2 or table.shape[1] < 2:
@@ -161,7 +162,7 @@ def predict_transition(table: np.ndarray,
     if order == 1:
         phi = (table[:, 1] / table[:, 0].real)[:, np.newaxis]
     else:
-        phi = solve_yule_walker(table, order).phi
+        phi = solve_yule_walker(table)[0]
     mags = np.abs(phi)
     unstable = mags >= 1.0
     if unstable.any():

@@ -2,22 +2,21 @@
 
 The numerical substrate for the rest of the package: covariance
 eigendecomposition with a deterministic eigenvector phase convention,
-dominant-subspace truncation, and the stacked Hermitian Toeplitz solves that
-fit autoregressive coefficients to autocorrelation sequences, all rows of a
-table at once.
+dominant-subspace truncation, and the stacked Hermitian Toeplitz solve that
+fits autoregressive coefficients to every row of an (m, p+1) autocorrelation
+table at once, reading the order p from the table's width.
 
 A subspace basis is represented throughout the package as a plain complex
 ndarray of shape (K, r) with orthonormal columns.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
 
-# Condition estimate beyond which a Toeplitz system gets the ridge RIDGE * R(0) * I.
+# Condition number beyond which a Toeplitz system gets the ridge RIDGE * R(0) * I.
 RIDGE_CONDITION_LIMIT = 1e12
 RIDGE = 1e-8
 
@@ -32,22 +31,6 @@ class EigenDecomposition:
 
     q: np.ndarray            # (K, K) complex, orthonormal columns
     eigenvalues: np.ndarray  # (K,) real, descending
-
-
-@dataclass
-class YuleWalkerSolution:
-    """AR(p) coefficients fitted to one autocorrelation sequence, or to each
-    row of a table.
-
-    ``phi[..., l-1]`` is the lag-l coefficient; ``noise_variance`` is the
-    fitted innovation variance (clamped at zero); ``condition_estimate`` is the
-    condition number of the Toeplitz system before any ridge was applied.  For
-    a table the two are (m,) arrays, one entry per row.
-    """
-
-    phi: np.ndarray
-    noise_variance: Union[float, np.ndarray]
-    condition_estimate: Union[float, np.ndarray]
 
 
 def evd_hermitian(r_mat: np.ndarray) -> EigenDecomposition:
@@ -90,32 +73,24 @@ def truncate_subspace(dec: EigenDecomposition, rank: int) -> np.ndarray:
     return dec.q[:, :rank].copy()
 
 
-def solve_yule_walker(autocorr: np.ndarray, order: int) -> YuleWalkerSolution:
-    """Fit AR(``order``) coefficients to autocorrelation sequences, one per row.
+def solve_yule_walker(table: np.ndarray):
+    """Fit AR(p) coefficients to an (m, p+1) autocorrelation table, one
+    sequence R(0), R(1), ..., R(p) per row; the width gives the order p >= 1.
 
-    Parameters
-    ----------
-    autocorr : R(0), R(1), ..., R(order), complex: one sequence, or an
-        (m, >= order+1) table holding one sequence per row.  Negative lags
-        are taken as conjugates (Hermitian autocorrelation).
-    order : AR order p >= 1.
-
-    Solves every row's p x p Hermitian Toeplitz system linking
-    autocorrelations to AR coefficients in one stacked solve, adding the
-    Tikhonov ridge ``RIDGE * R(0) * I`` to each row whose condition estimate
-    exceeds ``RIDGE_CONDITION_LIMIT`` (or is not finite); the innovation
-    variance is ``R(0) - sum_l phi_l conj(R(l))``, clamped at zero.  A single
-    sequence gives ``phi`` (p,) and float variance and condition; a table
-    gives ``phi`` (m, p) and (m,) arrays, each row equal to its own 1-D solve.
+    Negative lags are taken as conjugates (Hermitian autocorrelation).  Every
+    row's p x p Hermitian Toeplitz system linking autocorrelations to AR
+    coefficients is solved in one stacked solve, with the Tikhonov ridge
+    ``RIDGE * R(0) * I`` added to each row whose condition number exceeds
+    ``RIDGE_CONDITION_LIMIT`` (or is not finite).  Returns ``(phi,
+    noise_variance)``: the (m, p) coefficients, ``phi[i, l-1]`` at lag l, and
+    the (m,) innovation variances ``R(0) - sum_l phi_l conj(R(l))``, clamped
+    at zero.
     """
-    autocorr = np.asarray(autocorr, dtype=np.complex128)
-    single = autocorr.ndim == 1
-    table = np.atleast_2d(autocorr)
-    if order < 1:
-        raise InvalidInputError(f"solve_yule_walker: order must be >= 1, got {order}")
-    if table.ndim != 2 or table.shape[1] < order + 1:
+    table = np.asarray(table, dtype=np.complex128)
+    if table.ndim != 2 or table.shape[1] < 2:
         raise InvalidInputError(
-            f"solve_yule_walker: need lags 0..{order} per row, got shape {autocorr.shape}")
+            f"solve_yule_walker: need an (m, p+1) table with p >= 1, got {table.shape}")
+    order = table.shape[1] - 1
     r0 = table[:, 0]
     bad = np.flatnonzero(~np.isfinite(r0) | (r0.real <= 0)
                          | (np.abs(r0.imag) > 1e-8 * np.abs(r0.real)))
@@ -129,7 +104,7 @@ def solve_yule_walker(autocorr: np.ndarray, order: int) -> YuleWalkerSolution:
     toep = table[:, np.abs(lags[:, None] - lags[None, :])]
     upper = lags[:, None] < lags[None, :]
     toep[:, upper] = toep[:, upper].conj()
-    rhs = table[:, 1:order + 1]
+    rhs = table[:, 1:]
 
     condition = np.linalg.cond(toep)
     ridged = ~np.isfinite(condition) | (condition > RIDGE_CONDITION_LIMIT)
@@ -138,8 +113,4 @@ def solve_yule_walker(autocorr: np.ndarray, order: int) -> YuleWalkerSolution:
     phi = np.linalg.solve(toep, rhs[:, :, None])[:, :, 0]
 
     noise_var = np.maximum((r0 - (phi[:, None, :] @ rhs.conj()[:, :, None])[:, 0, 0]).real, 0.0)
-    if single:
-        return YuleWalkerSolution(phi=phi[0], noise_variance=float(noise_var[0]),
-                                  condition_estimate=float(condition[0]))
-    return YuleWalkerSolution(phi=phi, noise_variance=noise_var,
-                              condition_estimate=condition)
+    return phi, noise_var

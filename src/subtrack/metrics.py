@@ -68,7 +68,8 @@ def cross_path_coherence(series: np.ndarray) -> CoherenceMatrix:
     power = np.sum(np.abs(series) ** 2, axis=0)
     defined = power > 0
     cross = series.conj().T @ series
-    denom = np.sqrt(np.outer(power, power))
+    root = np.sqrt(power)  # rooted first: the product of two powers can overflow
+    denom = np.outer(root, root)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.where(denom > 0, cross / np.where(denom > 0, denom, 1.0), np.nan)
     np.fill_diagonal(rho, 1.0)

@@ -251,3 +251,6 @@ def test_symbol_windows_integer_input_is_complex():
 def test_noise_variance_for_snr():
     traj = ChannelTrajectory(h=np.ones((10, 4)))
     assert_allclose(noise_variance_for_snr(traj, 10.0), 0.4)
+    # 4 * 10^308 is not a float: the variance overflows, so it is refused.
+    with pytest.raises(InvalidInputError, match="not a finite"):
+        noise_variance_for_snr(traj, -3080.0)

@@ -222,13 +222,16 @@ def test_sweep_rank_exit_2_before_running(tmp_path):
 
 def test_descending_rank_range_is_a_config_error(tmp_path, capsys):
     assert cli._parse_ranks("3-3,1-2") == [3, 1, 2]
-    with pytest.raises(ConfigError, match="'12-8'"):
-        cli._parse_ranks("4,12-8")
-    out = tmp_path / "out"
-    assert run_cli(["sweep-rank", *SMALL, "--seed", "1", "--out", out,
-                    "--ranks", "4,12-8", "--algo", "asrmae"]) == 2
-    assert "12-8" in capsys.readouterr().err
-    assert not out.exists()
+    # Each malformed list, with the part of it the error names.
+    for ranks, part in [("4,12-8", "'12-8'"), ("4,x", "'x'"), ("a-3", "'a-3'"),
+                        (",", "empty list")]:
+        with pytest.raises(ConfigError, match=part):
+            cli._parse_ranks(ranks)
+        out = tmp_path / "out"
+        assert run_cli(["sweep-rank", *SMALL, "--seed", "1", "--out", out,
+                        "--ranks", ranks, "--algo", "asrmae"]) == 2
+        assert part in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_coherence_and_spectrum_commands(tmp_path):
@@ -418,6 +421,23 @@ def test_cir_csv_loader_bad_rows_are_config_errors(tmp_path, body, match):
                     "--out", tmp_path / "out", "--algos", "asrmae"]) == 2
 
 
+@pytest.mark.parametrize("text,match", [
+    ("n,k,re,im\n0,0,1.0,0.0\n", "header"),
+    ("n,k,h_re,h_im\n", "no data rows"),
+    ("n,k,h_re,h_im\n0,0,1,0\n0,0,1,0\n1,0,1,0\n1,0,1,0\n", "complete 2 x 1 grid"),
+], ids=["bad-header", "no-data-rows", "duplicate-cell"])
+def test_cir_csv_without_a_grid_exits_2(tmp_path, capsys, text, match):
+    path = tmp_path / "cir.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        load_cir_csv(path)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--override", f"run.cir_csv={path}", "--seed", "0",
+                    "--out", out, "--algos", "asrmae"]) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_walk_cir(path, n=240, k=6):
     """A recorded random-walk channel of n steps and k taps."""
     rng = np.random.default_rng(2)
@@ -518,6 +538,36 @@ def test_negative_seeds_are_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="seeds"):
         load_config(None, ["run.seeds=2,-3"])
     assert run_cli(["run", *SMALL, "--seed", "-1", "--out", tmp_path / "out"]) == 2
+
+
+def test_out_under_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    assert run_cli(["run", *SMALL, "--seed", "0", "--algos", "asrmae",
+                    "--out", blocker / "out"]) == 4
+    assert "output I/O failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["run", "--seed", "1", "--seeds", "2"], "--seed or --seeds"),
+    (["sweep-rank", "--seed", "1", "--ranks", "3", "--algo", "bogus"], "'bogus'"),
+], ids=["seed-and-seeds", "sweep-rank-unknown-algo"])
+def test_conflicting_or_unknown_flag_values_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert run_cli([*args, *SMALL, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unparsable_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_taps = 12\n[sim]\n")  # a key before any section header
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # One accepted value (raw, parsed) and one rejected raw value per config key;
@@ -622,9 +672,12 @@ OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.m
                 "tracker.sigma_v2=-1", "tracker.sigma_v2=0", "tracker.sigma_v2=nan",
                 "tracker.sigma_v2=inf", "tracker.reorth_period=-1",
                 "tracker.floor_db=nan", "tracker.floor_db=inf",
+                "tracker.order=0", "tracker.rank=0", "tracker.n_train=0",
+                "tracker.beta=0", "tracker.beta=1.5",
                 "sim.snr_db=nan", "sim.snr_db=-inf", "sim.snr_db=-1e300", "sim.omega_q=nan",
                 "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1",
-                "sim.preset=stormy", "sim.r_true=63", "sim.r_true=64"]
+                "sim.preset=stormy", "sim.r_true=63", "sim.r_true=64", "sim.n_steps=0",
+                "run.seeds=0", "run.seeds=,", "run.algos=,"]
 
 
 def in_section(section):
@@ -651,20 +704,49 @@ def test_out_of_range_sim_value_exits_2(tmp_path, override):
     assert_out_of_range_exits_2(tmp_path, override)
 
 
+@pytest.mark.parametrize("override", in_section("run"))
+def test_out_of_range_run_value_exits_2(tmp_path, override):
+    assert_out_of_range_exits_2(tmp_path, override)
+
+
+@pytest.mark.parametrize("override", ["tracker", "tracker_rank=3"],
+                         ids=["no-equals", "no-dot"])
+def test_override_without_section_and_key_exits_2(tmp_path, override):
+    with pytest.raises(ConfigError, match="section.key=value"):
+        load_config(None, [override])
+    out = tmp_path / "out"
+    assert run_cli(["run", *SMALL, "--override", override, "--seed", "0",
+                    "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_reorth_period_zero_still_means_never():
     assert load_config(None, ["tracker.reorth_period=0"]).tracker.reorth_period == 0
 
 
 # A rotating basis needs r_true + 2 <= n_taps (12 here); a fixed one takes every tap.
 # Growing powers are taken relative to the strongest, so a huge decay does not overflow.
+# At -1600 dB the tracked taps' powers are so large that the product of two overflows.
 @pytest.mark.parametrize("override", ["sim.snr_db=inf", "sim.power_decay=0", "sim.r_true=10",
-                                      "sim.omega_q=0 sim.r_true=12", "sim.power_decay=1e300"])
+                                      "sim.omega_q=0 sim.r_true=12", "sim.power_decay=1e300",
+                                      "sim.snr_db=-1600"])
 def test_edge_sim_values_still_run(tmp_path, override):
     overrides = [arg for item in override.split() for arg in ("--override", item)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(["run", *SMALL, *overrides, "--seed", "0",
                         "--out", tmp_path / "out"]) == 0
+
+
+def test_snr_whose_noise_variance_overflows_exits_3(tmp_path, capsys):
+    # Above the config's SNR bound, but the signal power times 10^308.2 is not a float.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", *SMALL, "--override", "sim.snr_db=-3082", "--seed", "0",
+                        "--out", out]) == 3
+    assert "noise_variance_for_snr" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args,calls", [

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from subtrack.channel_sim import gen_symbols, symbol_windows
 from subtrack.coarse_est import (autocorrelation_table,
                                  estimate_channel_covariance,
-                                 estimate_component_autocorrelation,
                                  estimate_process_noise_correlated,
                                  fit_coarse_model, lms_track,
                                  project_components)
@@ -125,7 +124,7 @@ def test_projection_round_trip_in_subspace():
 def test_autocorr_zero_lag_is_mean_power():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    got = estimate_component_autocorrelation(z, 0)
+    got = autocorrelation_table(z, 0)[:, 0]
     assert_allclose(got.imag, 0, atol=1e-12)
     assert_allclose(got.real, np.mean(np.abs(z) ** 2, axis=0), atol=1e-12)
 
@@ -133,22 +132,22 @@ def test_autocorr_zero_lag_is_mean_power():
 def test_autocorr_constant_signal():
     c = 0.7 - 0.3j
     z = np.full((2000, 1), c)
-    for m in (0, 1, 3):
-        got = estimate_component_autocorrelation(z, m)
-        assert_allclose(got, abs(c) ** 2 * (2000 - m) / 2000, atol=1e-12)
+    table = autocorrelation_table(z, 3)
+    assert table.shape == (1, 4)
+    for m in range(4):
+        assert_allclose(table[:, m], abs(c) ** 2 * (2000 - m) / 2000, atol=1e-12)
 
 
 def test_autocorr_ar1_ratio_monte_carlo():
     rng = np.random.default_rng(8)
     z = ar1_samples(0.9, 10_000, rng)[:, np.newaxis]
-    r0 = estimate_component_autocorrelation(z, 0)
-    r1 = estimate_component_autocorrelation(z, 1)
-    assert abs((r1 / r0)[0] - 0.9) < 0.02
+    (r0, r1), = autocorrelation_table(z, 1)
+    assert abs(r1 / r0 - 0.9) < 0.02
 
 
 def test_autocorr_divisor_stays_fixed():
     z = np.ones((10, 1), dtype=complex)
-    got = estimate_component_autocorrelation(z, 4)
+    got = autocorrelation_table(z, 4)[:, 4]
     assert_allclose(got, 0.6)  # 6 terms contribute, divisor stays 10
 
 
@@ -156,22 +155,22 @@ def test_autocorr_divisor_stays_fixed():
 def test_estimators_divide_by_their_rows_and_reject_too_few():
     z = np.ones((10, 1), dtype=complex)
     assert_allclose(estimate_channel_covariance(z), [[1.0]])
-    assert_allclose(estimate_component_autocorrelation(z, 0), [1.0])
+    assert_allclose(autocorrelation_table(z, 0), [[1.0]])
     with pytest.raises(InvalidInputError):
         estimate_channel_covariance(z[:0])
     with pytest.raises(InvalidInputError):
-        estimate_component_autocorrelation(z, 10)  # lag 10 needs 11 rows
+        autocorrelation_table(z, 10)  # lag 10 needs 11 rows
 
 # ------------------------------------------------------------ model fitting
-def initial_model(table, order):
+def initial_model(table):
     """The training fit's coefficients and its diagonal innovation noise."""
-    sol = solve_yule_walker(table, order)
-    return sol.phi, np.diag(sol.noise_variance).astype(complex)
+    phi, noise_variance = solve_yule_walker(table)
+    return phi, np.diag(noise_variance).astype(complex)
 
 
 def test_build_initial_model_order1_diagonal():
     table = np.array([[1.0, 0.9], [2.0, 1.0]], dtype=complex)
-    phi, noise = initial_model(table, 1)
+    phi, noise = initial_model(table)
     assert_allclose(companion(phi), np.diag([0.9, 0.5]), atol=1e-14)
     assert_allclose(np.diag(noise).real, [1 - 0.81, 2 - 0.5], atol=1e-12)
 
@@ -180,7 +179,7 @@ def test_build_initial_model_order2_companion_layout():
     phi1, phi2 = 0.5, 0.3
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    phi, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
+    phi, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex))
     want = np.array([[phi1, phi2], [1.0, 0.0]])
     assert_allclose(companion(phi), want, atol=1e-10)
 
@@ -189,7 +188,7 @@ def test_companion_eigenvalues_match_polynomial_roots():
     phi1, phi2 = 0.4, 0.25
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    phi, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex), 2)
+    phi, _ = initial_model(np.array([[1.0, r1, r2]], dtype=complex))
     eigs = np.sort_complex(np.linalg.eigvals(companion(phi)))
     roots = np.sort_complex(np.roots([1.0, -phi1, -phi2]))
     assert_allclose(eigs, roots, atol=1e-10)
@@ -199,7 +198,7 @@ def test_order1_coefficient_magnitude_identity():
     rng = np.random.default_rng(9)
     z = ar1_samples(0.85, 4000, rng)[:, np.newaxis]
     table = autocorrelation_table(z, 1)
-    phi, _ = initial_model(table, 1)
+    phi, _ = initial_model(table)
     want = abs(table[0, 1]) / table[0, 0].real
     assert_allclose(abs(phi[0, 0]), want, atol=1e-14)
 
@@ -209,10 +208,10 @@ def test_coarse_fit_coefficients_are_its_table_yule_walker_fit(order):
     rng = np.random.default_rng(11)
     h = np.stack([ar1_samples(0.95, 1000, rng) for _ in range(6)], axis=1)
     coarse = fit_coarse_model(h, 1000, 3, order, 0.01)
-    sol = solve_yule_walker(coarse.autocorr, order)
+    phi, noise_variance = solve_yule_walker(coarse.autocorr)
     assert coarse.phi.shape == (3, order)
-    assert np.array_equal(coarse.phi, sol.phi)
-    assert np.array_equal(coarse.noise_diag, np.diag(sol.noise_variance))
+    assert np.array_equal(coarse.phi, phi)
+    assert np.array_equal(coarse.noise_diag, np.diag(noise_variance))
 
 
 # ------------------------------------------------------------ process noise

@@ -4,8 +4,8 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from subtrack.errors import DegenerateInputError, InvalidInputError
-from subtrack.linalg_spectral import (evd_hermitian, solve_yule_walker,
-                                      truncate_subspace)
+from subtrack.linalg_spectral import (RIDGE, RIDGE_CONDITION_LIMIT, evd_hermitian,
+                                      solve_yule_walker, truncate_subspace)
 
 
 def random_psd(k, rng, rank=None):
@@ -93,17 +93,16 @@ def test_truncate_rank_bounds():
 
 
 def test_yule_walker_order1_closed_form():
-    sol = solve_yule_walker(np.array([1.0, 0.9]), 1)
-    assert_allclose(sol.phi, [0.9], atol=1e-14)
-    assert_allclose(sol.noise_variance, 0.19, atol=1e-14)
+    phi, noise = solve_yule_walker([[1.0, 0.9]])
+    assert_allclose(phi, [[0.9]], atol=1e-14)
+    assert_allclose(noise, [0.19], atol=1e-14)
 
 
 def test_yule_walker_ar1_identity():
-    phi = 0.95
-    acf = np.array([1.0, phi])
-    sol = solve_yule_walker(acf, 1)
-    assert_allclose(sol.phi, [phi], atol=1e-14)
-    assert_allclose(sol.noise_variance, 1 - phi**2, atol=1e-14)
+    phi_true = 0.95
+    phi, noise = solve_yule_walker([[1.0, phi_true]])
+    assert_allclose(phi, [[phi_true]], atol=1e-14)
+    assert_allclose(noise, [1 - phi_true**2], atol=1e-14)
 
 
 def test_yule_walker_order2_linear_solver_oracle():
@@ -112,9 +111,9 @@ def test_yule_walker_order2_linear_solver_oracle():
     det = r0 * r0 - r1 * r1
     phi1 = (r1 * r0 - r2 * r1) / det
     phi2 = (r0 * r2 - r1 * r1) / det
-    sol = solve_yule_walker(np.array([r0, r1, r2]), 2)
-    assert_allclose(sol.phi, [phi1, phi2], atol=1e-12)
-    assert sol.noise_variance >= 0
+    phi, noise = solve_yule_walker([[r0, r1, r2]])
+    assert_allclose(phi, [[phi1, phi2]], atol=1e-12)
+    assert noise[0] >= 0
 
 
 def test_yule_walker_exact_ar2_recovery():
@@ -122,16 +121,15 @@ def test_yule_walker_exact_ar2_recovery():
     phi1, phi2 = 0.5, 0.3
     r1 = phi1 / (1 - phi2)
     r2 = phi1 * r1 + phi2
-    sol = solve_yule_walker(np.array([1.0, r1, r2]), 2)
-    assert_allclose(sol.phi, [phi1, phi2], atol=1e-10)
+    phi, _ = solve_yule_walker([[1.0, r1, r2]])
+    assert_allclose(phi, [[phi1, phi2]], atol=1e-10)
 
 
 def test_yule_walker_complex_ar1():
-    phi = 0.9 * np.exp(0.7j)
-    acf = np.array([1.0, phi, phi**2])
-    sol = solve_yule_walker(acf, 1)
-    assert_allclose(sol.phi, [phi], atol=1e-12)
-    assert_allclose(sol.noise_variance, 1 - abs(phi) ** 2, atol=1e-12)
+    phi_true = 0.9 * np.exp(0.7j)
+    phi, noise = solve_yule_walker([[1.0, phi_true]])
+    assert_allclose(phi, [[phi_true]], atol=1e-12)
+    assert_allclose(noise, [1 - abs(phi_true) ** 2], atol=1e-12)
 
 
 def test_yule_walker_residual_bound():
@@ -139,31 +137,35 @@ def test_yule_walker_residual_bound():
     for _ in range(20):
         phi_true = rng.uniform(-0.9, 0.9)
         acf = np.array([1.0] + [phi_true**m for m in (1, 2)])
-        sol = solve_yule_walker(acf, 2)
+        phi, _ = solve_yule_walker([acf])
         toep = np.array([[acf[0], np.conj(acf[1])], [acf[1], acf[0]]])
-        resid = toep @ sol.phi - acf[1:3]
+        resid = toep @ phi[0] - acf[1:3]
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(acf)
 
 
 def test_yule_walker_ridge_on_singular_system():
-    # Constant autocorrelation makes the Toeplitz matrix exactly singular.
-    sol = solve_yule_walker(np.array([1.0, 1.0, 1.0]), 2)
-    assert sol.condition_estimate > 1e12 or not np.isfinite(sol.condition_estimate)
-    assert np.all(np.isfinite(sol.phi))
-    assert sol.noise_variance >= 0
+    # Constant autocorrelation makes the Toeplitz matrix exactly singular,
+    # so the fit is the solve of T + RIDGE * R(0) * I.
+    phi, noise = solve_yule_walker([[1.0, 1.0, 1.0]])
+    toep = np.ones((2, 2), dtype=complex)
+    assert not np.linalg.cond(toep) <= RIDGE_CONDITION_LIMIT
+    want = np.linalg.solve(toep + RIDGE * np.eye(2), np.ones(2, dtype=complex))
+    assert np.array_equal(phi[0], want)
+    assert np.all(np.isfinite(phi))
+    assert noise[0] >= 0
 
 
 def test_yule_walker_degenerate_power():
     with pytest.raises(DegenerateInputError):
-        solve_yule_walker(np.array([0.0, 0.5]), 1)
+        solve_yule_walker([[0.0, 0.5]])
     with pytest.raises(DegenerateInputError):
-        solve_yule_walker(np.array([-1.0, 0.5]), 1)
+        solve_yule_walker([[-1.0, 0.5]])
 
 
 def test_yule_walker_noise_clamped_at_zero():
     # An inconsistent sequence can push the fitted innovation negative.
-    sol = solve_yule_walker(np.array([1.0, 1.2]), 1)
-    assert sol.noise_variance == 0.0
+    _, noise = solve_yule_walker([[1.0, 1.2]])
+    assert noise[0] == 0.0
 
 
 def random_autocorr_table(rng, rows, order, n=400):
@@ -174,15 +176,16 @@ def random_autocorr_table(rng, rows, order, n=400):
                      for m in range(order + 1)], axis=1)
 
 
-def reference_yule_walker(acf, order, ridge=1e-8):
+def reference_yule_walker(acf, ridge=1e-8):
     """The per-row solve the stacked one replaced: (phi, noise, condition)."""
+    order = len(acf) - 1
     col = acf[:order]
     toep = scipy.linalg.toeplitz(col, col.conj())
     condition = float(np.linalg.cond(toep))
     if not np.isfinite(condition) or condition > 1e12:
         toep = toep + ridge * acf[0].real * np.eye(order)
-    phi = np.linalg.solve(toep, acf[1:order + 1])
-    noise = float((acf[0] - np.dot(phi, acf[1:order + 1].conj())).real)
+    phi = np.linalg.solve(toep, acf[1:])
+    noise = float((acf[0] - np.dot(phi, acf[1:].conj())).real)
     return phi, max(noise, 0.0), condition
 
 
@@ -191,32 +194,28 @@ def test_yule_walker_table_matches_row_loop(order):
     table = random_autocorr_table(np.random.default_rng(order), 6, order)
     # Constant autocorrelation: a singular Toeplitz system at p >= 2.
     table[2] = table[2, 0]
-    sol = solve_yule_walker(table, order)
-    rows = [solve_yule_walker(row, order) for row in table]
-    assert sol.phi.shape == (6, order)
-    assert sol.noise_variance.shape == sol.condition_estimate.shape == (6,)
-    assert np.array_equal(sol.phi, np.stack([r.phi for r in rows]))
-    assert np.array_equal(sol.noise_variance, [r.noise_variance for r in rows])
-    assert np.array_equal(sol.condition_estimate, [r.condition_estimate for r in rows])
+    phi, noise = solve_yule_walker(table)
+    assert phi.shape == (6, order) and noise.shape == (6,)
+    ridged = []
     for i, row in enumerate(table):
-        phi, noise, condition = reference_yule_walker(row, order)
-        assert np.array_equal(sol.phi[i], phi)
-        assert sol.noise_variance[i] == noise and sol.condition_estimate[i] == condition
-    for r in rows:
-        assert r.phi.shape == (order,)
-        assert type(r.noise_variance) is float and type(r.condition_estimate) is float
-    ridged = ~(sol.condition_estimate <= 1e12)
-    assert ridged.tolist() == [order >= 2 and i == 2 for i in range(6)]
-    assert np.isfinite(sol.phi).all()
+        row_phi, row_noise = solve_yule_walker(row[None, :])
+        assert np.array_equal(phi[i], row_phi[0]) and noise[i] == row_noise[0]
+        want_phi, want_noise, condition = reference_yule_walker(row)
+        assert np.array_equal(phi[i], want_phi) and noise[i] == want_noise
+        ridged.append(not condition <= 1e12)
+    assert ridged == [order >= 2 and i == 2 for i in range(6)]
+    assert np.isfinite(phi).all()
 
 
 def test_yule_walker_table_names_degenerate_row():
     table = random_autocorr_table(np.random.default_rng(4), 5, 2)
     table[3, 0] = 0.0
     with pytest.raises(DegenerateInputError, match="row 3"):
-        solve_yule_walker(table, 2)
+        solve_yule_walker(table)
 
 
 def test_yule_walker_rejects_short_table():
-    with pytest.raises(InvalidInputError):
-        solve_yule_walker(np.ones((4, 2), dtype=complex), 2)
+    # No lag beyond zero, a lone sequence, a stack of tables.
+    for shape in [(4, 1), (3,), (2, 2, 3)]:
+        with pytest.raises(InvalidInputError, match="table"):
+            solve_yule_walker(np.ones(shape, dtype=complex))

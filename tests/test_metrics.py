@@ -81,6 +81,14 @@ def test_coherence_zero_power_column_flagged():
     assert out.rho[1, 1] == 1.0  # diagonal pinned by convention
 
 
+def test_coherence_of_huge_columns_does_not_overflow():
+    # Each column's power is near 1e300; the product of two would overflow.
+    x = 1e149 * np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    out = cross_path_coherence(x)  # RuntimeWarnings are errors under pytest
+    assert out.defined.tolist() == [True, True]
+    assert_allclose(out.rho, [[1.0, 0.5], [0.5, 1.0]], rtol=1e-12)
+
+
 def test_coherence_needs_two_samples():
     with pytest.raises(InvalidInputError):
         cross_path_coherence(np.ones((1, 3), dtype=complex))
