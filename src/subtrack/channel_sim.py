@@ -25,6 +25,7 @@ _PRESETS = {"calm": {"omega_q": 2e-4, "phi_drift": 0.0},
             "rough": {"omega_q": 2e-3, "phi_drift": 0.05}}
 # At or below this SNR the noise-to-signal ratio 10^(-snr_db/10) overflows a float.
 _MIN_SNR_DB = -10.0 * float(np.log10(np.finfo(np.float64).max))
+_ENERGY_HEADROOM = 100.0  # noise energy never exceeds its expectation this much
 
 
 @dataclass
@@ -98,8 +99,8 @@ class SimConfig:
     :meth:`variation` resolves them, a value left at ``None`` taking the
     preset's, so a config copied with another ``preset`` takes that preset's
     values.  The basis rotates in a plane outside its own span, so a nonzero
-    resolved ``omega_q`` needs ``r_true + 2 <= n_taps``.  ``n_train`` is only
-    the tracker's default; the CLI checks it against the record it tracks.
+    resolved ``omega_q`` needs ``r_true + 2 <= n_taps``.  ``n_train`` is the
+    training length; the CLI checks it against the record it tracks.
     """
 
     n_taps: int = 64
@@ -268,12 +269,14 @@ def generate_observations(traj: ChannelTrajectory, symbols: np.ndarray,
 def noise_variance_for_snr(traj: ChannelTrajectory, snr_db: float) -> float:
     """Observation-noise variance giving the requested SNR for unit-power symbols.
 
-    Raises ``InvalidInputError`` when that variance overflows a float.
+    Raises ``InvalidInputError`` unless the trackers can sum the squared
+    observations: ``_ENERGY_HEADROOM`` times their expected sum must be a float.
     """
     signal_power = float(np.mean(np.sum(np.abs(traj.h) ** 2, axis=1)))
     sigma_v2 = signal_power * 10.0 ** (-snr_db / 10.0)
-    if not np.isfinite(sigma_v2):
+    if not np.isfinite(traj.n_steps * (signal_power + sigma_v2) * _ENERGY_HEADROOM):
         raise InvalidInputError(
-            f"noise_variance_for_snr: noise variance for {snr_db} dB SNR at signal "
-            f"power {signal_power:.3g} is not a finite float")
+            f"noise_variance_for_snr: {_ENERGY_HEADROOM:g} times the energy of the "
+            f"{traj.n_steps}-step record at {snr_db} dB SNR (signal power "
+            f"{signal_power:.3g}) is not a finite float")
     return sigma_v2

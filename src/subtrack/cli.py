@@ -30,10 +30,10 @@ from .channel_sim import (gen_symbols, generate_observations,
 from .coarse_est import estimate_channel_covariance
 from .config import ExperimentConfig, load_config
 from .csvio import file_digest, load_cir_csv, write_csv
-from .errors import ConfigError, SubtrackError
+from .errors import ConfigError, InvalidInputError, SubtrackError
 from .linalg_spectral import evd_hermitian, truncate_subspace
 from .metrics import cross_path_coherence, eigenvalue_spectrum
-from .pipeline import ALGORITHMS
+from .pipeline import ALGORITHMS, check_training
 
 SYMBOL_SEED_OFFSET = 1_000_000
 NOISE_SEED_OFFSET = 2_000_000
@@ -54,15 +54,13 @@ def _simulate(cfg: ExperimentConfig, seed: int, record=None):
     return traj, obs
 
 
-def _check_record(traj, ranks, n_train: int) -> None:
+def _check_record(obs, jobs) -> None:
     """Reject tracker settings the record cannot carry, before any tracking."""
-    bad = sorted({r for r in ranks if not 1 <= r <= traj.n_taps})
-    if bad:
-        raise ConfigError(f"ranks {bad} outside [1, {traj.n_taps}] (the record's taps)")
-    if n_train >= traj.n_steps:
-        raise ConfigError(
-            f"tracker.n_train {n_train} must be smaller than the "
-            f"{traj.n_steps}-step record")
+    for _, algo, job_cfg in jobs:
+        try:
+            check_training(job_cfg, obs.d.shape, subspace=algo != "lms")
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _track(cfg: ExperimentConfig, jobs, keep) -> dict:
@@ -73,7 +71,7 @@ def _track(cfg: ExperimentConfig, jobs, keep) -> dict:
     results = {}
     for seed in cfg.run.seeds:
         traj, obs = _simulate(cfg, seed, record)
-        _check_record(traj, [job_cfg.rank for _, _, job_cfg in jobs], cfg.tracker.n_train)
+        _check_record(obs, jobs)
         for key, algo, job_cfg in jobs:
             results[key, seed] = keep(key, seed, ALGORITHMS[algo](obs, job_cfg))
         # The record, and with it its front end, goes before the next seed's.
@@ -140,17 +138,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     if diag_algo is not None:
         diag = found[diag_algo, seeds[0]]
-        if cfg.run.emit_phi_traj:
-            n, comp = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
-            tables["phi_traj.csv"] = (
-                ["n", "component", "abs_phi"],
-                list(zip(n.tolist(), comp.tolist(), diag.phi_traj.ravel().tolist())))
-        if cfg.run.emit_coherence:
-            for name, series in (("taps", diag.h_tracked), ("components", diag.components)):
-                tables[f"coherence_{name}.csv"] = _coherence_table(
-                    cross_path_coherence(series[tracker.n_train:]))
-        if cfg.run.emit_spectrum:
-            tables["eigenspectrum.csv"] = _spectrum_table(diag.eigen_spectrum)
+        n, comp = np.divmod(np.arange(diag.phi_traj.size), diag.phi_traj.shape[1])
+        tables["phi_traj.csv"] = (
+            ["n", "component", "abs_phi"],
+            list(zip(n.tolist(), comp.tolist(), diag.phi_traj.ravel().tolist())))
+        for name, series in (("taps", diag.h_tracked), ("components", diag.components)):
+            tables[f"coherence_{name}.csv"] = _coherence_table(
+                cross_path_coherence(series[tracker.n_train:]))
+        tables["eigenspectrum.csv"] = _spectrum_table(diag.eigen_spectrum)
     return _write_outputs(cfg, out_dir, started, tables, run_outputs=True)
 
 
@@ -202,9 +197,9 @@ def _write_outputs(cfg, out_dir, started, tables, extra=None, run_outputs=False)
     config = dataclasses.asdict(cfg)
     config["sim"].update(cfg.sim.variation())
     del config["sim"]["seed"]  # the seeds run are listed under "seeds"
-    if not run_outputs:  # only ``run`` reads run.algos and the run.emit_* flags
+    if not run_outputs:  # only ``run`` reads run.algos and run.emit_errors
         config["run"] = {key: value for key, value in config["run"].items()
-                         if key != "algos" and not key.startswith("emit_")}
+                         if key not in ("algos", "emit_errors")}
     manifest = {
         "tool": "subtrack",
         "version": __version__,

@@ -16,9 +16,10 @@ types::
     out_dir = results
 
 The keys of each section are the fields of ``SimConfig`` (but ``seed``: the
-seeds run are ``run.seeds``), ``TrackerConfig`` and ``RunConfig``, and each
-value is parsed by its field's type.  Unknown sections or keys are hard
-errors, as are malformed values; silent typos would invalidate comparisons.
+seeds run are ``run.seeds``), ``TrackerConfig`` (but ``n_train``, which
+``sim.n_train`` sets) and ``RunConfig``, and each value is parsed by its field's
+type.  Unknown sections or keys are hard errors, as are malformed values;
+silent typos would invalidate comparisons.
 """
 
 import configparser
@@ -40,10 +41,7 @@ class RunConfig:
     algos: tuple = ("lms", "asrmae", "dfb_asrmae")
     seeds: tuple = (0,)
     out_dir: str = "results"
-    emit_errors: bool = True
-    emit_phi_traj: bool = True
-    emit_coherence: bool = True
-    emit_spectrum: bool = True
+    emit_errors: bool = True  # false leaves out errors.csv
     cir_csv: Optional[str] = None  # replay a recorded trajectory instead of simulating
 
 
@@ -105,6 +103,7 @@ def _field_types(cls) -> dict:
 _FIELD_TYPES = {"sim": _field_types(SimConfig), "tracker": _field_types(TrackerConfig),
                 "run": _field_types(RunConfig)}
 del _FIELD_TYPES["sim"]["seed"]  # each run.seeds value replaces it
+del _FIELD_TYPES["tracker"]["n_train"]  # sim.n_train sets it
 _OWN_PARSERS = {"run.algos": _parse_algos, "run.seeds": _parse_seeds}
 
 
@@ -129,11 +128,9 @@ def _convert(section: str, key: str, raw: str):
 
 
 def _build(sections: dict) -> ExperimentConfig:
-    tracker_kwargs = dict(sections["tracker"])
     try:
         sim = SimConfig(**sections["sim"])
-        tracker_kwargs.setdefault("n_train", sim.n_train)
-        tracker = TrackerConfig(**tracker_kwargs)
+        tracker = TrackerConfig(**sections["tracker"], n_train=sim.n_train)
         run = RunConfig(**sections["run"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

@@ -29,14 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .channel_sim import ObservationSequence
-from .coarse_est import fit_coarse_model, lms_track
+from .coarse_est import fit_coarse_model, lms_track, lms_warmup_length
 from .errors import InvalidInputError, NumericError
 # fb_combine, cross_path_coherence and eigenvalue_spectrum are unused here but
 # stay bound: the benchmark's tracer wraps them.
 from .kalman_core import (ArTransitionModel, RecursiveAutocorr, backward_model,
                           companion, fb_combine, fb_fuse, kf_predict, kf_update,
                           predict_transition, stacked_noise)
-from .metrics import (DEFAULT_FLOOR_DB, cross_path_coherence, eigenvalue_spectrum,
+from .metrics import (cross_path_coherence, eigenvalue_spectrum,
                       normalized_prediction_error, normalized_spectrum)
 from .subspace_tracking import PastdTracker
 
@@ -49,13 +49,12 @@ _FRONT_ENDS = weakref.WeakKeyDictionary()  # record -> {key: front-end value}
 class TrackerConfig:
     """Shared tracker configuration.
 
-    ``n_train`` is the training-prefix length; ``sigma_v2`` overrides the
-    observation-noise variance the filter assumes (default: take it from the
-    simulator, else the mean power of the LMS errors over the last quarter of
-    training).  The three flags select the enhancements of the forward-backward
-    tracker; the baseline forces them all off.  ``mu`` and a set ``sigma_v2``
-    must be positive and finite, ``floor_db`` finite; ``reorth_period`` 0 never
-    re-orthonormalises.
+    ``n_train`` is the training-prefix length (the CLI's ``sim.n_train``);
+    ``sigma_v2`` overrides the observation-noise variance the filter assumes
+    (default: take it from the simulator, else the mean power of the LMS errors
+    over the last quarter of training).  The three flags select the
+    enhancements of the forward-backward tracker; the baseline forces them all
+    off.  ``mu`` and a set ``sigma_v2`` must be positive and finite.
     """
 
     order: int = 1
@@ -67,8 +66,6 @@ class TrackerConfig:
     dynamic_phi: bool = True
     correlated_noise: bool = True
     fb_smoothing: bool = True
-    floor_db: float = DEFAULT_FLOOR_DB
-    reorth_period: int = 50
 
     def __post_init__(self):
         if self.order < 1:
@@ -84,13 +81,6 @@ class TrackerConfig:
         if self.sigma_v2 is not None and not 0 < self.sigma_v2 < np.inf:
             raise InvalidInputError(
                 f"TrackerConfig: sigma_v2 must be positive, got {self.sigma_v2}")
-        if not np.isfinite(self.floor_db):
-            raise InvalidInputError(
-                f"TrackerConfig: floor_db must be finite, got {self.floor_db}")
-        if self.reorth_period < 0:
-            raise InvalidInputError(
-                f"TrackerConfig: reorth_period must be >= 0 (0: never), "
-                f"got {self.reorth_period}")
 
 
 @dataclass
@@ -105,6 +95,27 @@ class TrackResult:
     components: Optional[np.ndarray] = None      # (N, r) z behind h_tracked
     phi_traj: Optional[np.ndarray] = None        # (N, r) |phi_i(1)| per step
     eigen_spectrum: Optional[np.ndarray] = None  # (K,) normalized eigenvalues
+
+
+def check_training(cfg: TrackerConfig, shape: tuple, subspace: bool = True) -> None:
+    """Raise ``InvalidInputError`` unless a record of ``shape`` (steps, taps)
+    can carry ``cfg``: ``0 < n_train < n_steps`` and, for a subspace tracker,
+    a rank within the taps and more than ``order`` training rows left after
+    the LMS warm-up (the coarse fit's Yule-Walker table needs them)."""
+    n_steps, n_taps = shape
+    if not 0 < cfg.n_train < n_steps:
+        raise InvalidInputError(
+            f"tracker: need 0 < n_train < n_steps, got n_train={cfg.n_train} "
+            f"for {n_steps} steps")
+    if not subspace:
+        return
+    if not 1 <= cfg.rank <= n_taps:
+        raise InvalidInputError(f"tracker: rank {cfg.rank} outside [1, {n_taps}]")
+    rows = cfg.n_train - lms_warmup_length(cfg.mu, cfg.n_train)
+    if rows <= cfg.order:
+        raise InvalidInputError(
+            f"tracker: n_train={cfg.n_train} leaves {rows} rows after the LMS warm-up; "
+            f"order {cfg.order} needs more")
 
 
 def _filter_noise_variance(cfg: TrackerConfig, obs: ObservationSequence,
@@ -175,27 +186,22 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
     def build_pastd():
         powers = np.maximum(coarse.eigenvalues[:cfg.rank],
                             max(1e-12 * max(coarse.eigenvalues[0], 0.0), 1e-20))
-        pastd = PastdTracker(coarse.basis, powers, beta=cfg.beta,
-                             reorth_period=cfg.reorth_period)
+        pastd = PastdTracker(coarse.basis, powers, beta=cfg.beta)
         q_seq = np.empty(obs.d.shape + (cfg.rank,), dtype=np.complex128)
         for n in range(len(h_lms)):
             q_seq[n] = pastd.step(h_lms[n])
         return q_seq
 
-    q_seq = _shared(obs, ("pastd", cfg.mu, cfg.n_train, cfg.beta, cfg.reorth_period),
+    q_seq = _shared(obs, ("pastd", cfg.mu, cfg.n_train, cfg.beta),
                     build_pastd, reuse=lambda held: held.shape[2] >= cfg.rank)
     return lms_errors, coarse, q_seq[:, :, :cfg.rank]
 
 
 def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
                           algo: str) -> TrackResult:
-    n_steps, n_taps = obs.d.shape
+    check_training(cfg, obs.d.shape)
+    n_steps = obs.d.shape[0]
     rank, order, n_train = cfg.rank, cfg.order, cfg.n_train
-    if not 1 <= rank <= n_taps:
-        raise InvalidInputError(f"tracker: rank {rank} outside [1, {n_taps}]")
-    if not 0 < n_train < n_steps:
-        raise InvalidInputError(
-            f"tracker: need 0 < n_train < n_steps, got {n_train}, {n_steps}")
     dim = rank * order
 
     lms_errors, coarse, q_seq = _front_end(obs, cfg)
@@ -264,8 +270,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
         xi_out = xi_fwd
 
     h_out = np.einsum("nkr,nr->nk", q_seq, z_out)
-    err_db, mean_db = normalized_prediction_error(xi_out, obs.r, cfg.floor_db,
-                                                  eval_start=n_train)
+    err_db, mean_db = normalized_prediction_error(xi_out, obs.r, eval_start=n_train)
     return TrackResult(
         algo=algo, h_tracked=h_out, xi=xi_out, err_db=err_db, mean_err_db=mean_db,
         components=z_out, phi_traj=phi_traj, eigen_spectrum=normalized_spectrum(coarse.eigenvalues))
@@ -293,13 +298,9 @@ def run_dfb_asrmae(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
 
 def run_lms(obs: ObservationSequence, cfg: TrackerConfig) -> TrackResult:
     """Plain LMS channel tracker; its a-priori error is the prediction error."""
-    n_steps = obs.d.shape[0]
-    if not 0 < cfg.n_train < n_steps:
-        raise InvalidInputError(
-            f"tracker: need 0 < n_train < n_steps, got {cfg.n_train}, {n_steps}")
+    check_training(cfg, obs.d.shape, subspace=False)
     h_lms, xi = _lms(obs, cfg)
-    err_db, mean_db = normalized_prediction_error(xi, obs.r, cfg.floor_db,
-                                                  eval_start=cfg.n_train)
+    err_db, mean_db = normalized_prediction_error(xi, obs.r, eval_start=cfg.n_train)
     return TrackResult(algo="lms", h_tracked=h_lms, xi=xi, err_db=err_db,
                        mean_err_db=mean_db)
 

@@ -254,3 +254,7 @@ def test_noise_variance_for_snr():
     # 4 * 10^308 is not a float: the variance overflows, so it is refused.
     with pytest.raises(InvalidInputError, match="not a finite"):
         noise_variance_for_snr(traj, -3080.0)
+    # 4 * 10^305 is, but ten steps of it times the headroom of 100 are not.
+    with pytest.raises(InvalidInputError, match="10-step record"):
+        noise_variance_for_snr(traj, -3050.0)
+    assert_allclose(noise_variance_for_snr(traj, -3030.0), 4e303)

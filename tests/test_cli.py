@@ -184,7 +184,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.sim.n_taps == 24
     assert cfg.sim.variation()["omega_q"] == 2e-3  # rough preset fills variation params
     assert cfg.tracker.rank == 4
-    assert cfg.tracker.n_train == 120  # inherited from sim section
+    assert cfg.tracker.n_train == 120  # set by sim.n_train
     assert cfg.run.algos == ("asrmae",)
     assert cfg.run.seeds == (2, 5)
 
@@ -455,7 +455,7 @@ def test_replay_recorded_channel(tmp_path):
     out = tmp_path / "out"
     code = run_cli(["run", "--override", f"run.cir_csv={path}",
                     "--override", "tracker.rank=3",
-                    "--override", "tracker.n_train=80",
+                    "--override", "sim.n_train=80",
                     "--seed", "0", "--out", out, "--algos", "asrmae"])
     assert code == 0
     _, rows = read_csv(out / "summary.csv")
@@ -464,7 +464,7 @@ def test_replay_recorded_channel(tmp_path):
 
 
 def test_replay_takes_a_sim_n_train_beyond_the_simulators_steps(tmp_path):
-    # sim.n_train is only the tracker's default; the record fixes the steps.
+    # The record fixes the steps, so sim.n_steps does not bound sim.n_train.
     path = write_walk_cir(tmp_path / "cir.csv")
     out = tmp_path / "out"
     assert run_cli(["run", "--override", f"run.cir_csv={path}",
@@ -499,12 +499,25 @@ def test_algorithm_ordering_majority_of_seeds(tmp_path):
     assert ordered >= 4  # >= 80% of seeds
 
 
+# With order 3 the coarse fit needs more than 3 training rows after the LMS
+# warm-up (a quarter of n_train, here at most 1 step).
+@pytest.mark.parametrize("n_train,code", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 0)])
+def test_training_window_checked_against_the_ar_order(tmp_path, capsys, n_train, code):
+    out = tmp_path / "out"
+    assert run_cli(["run", *SMALL, "--algos", "asrmae", "--override", "tracker.order=3",
+                    "--override", f"sim.n_train={n_train}", "--seed", "0",
+                    "--out", out]) == code
+    if code:
+        assert f"n_train={n_train}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["sweep-rank", "--algo", "asrmae", "--ranks", "1-8",  # 8 > 6 taps
-     "--override", "tracker.n_train=80"],
+     "--override", "sim.n_train=80"],
     ["sweep-rank", "--algo", "asrmae", "--ranks", "3"],  # n_train 1000 >= 240 steps
     ["run", "--algos", "asrmae", "--override", "tracker.rank=8",
-     "--override", "tracker.n_train=80"],
+     "--override", "sim.n_train=80"],
 ], ids=["sweep-rank-over-taps", "sweep-rank-n-train", "run-rank-over-taps"])
 def test_replayed_record_checked_before_tracking(tmp_path, monkeypatch, args):
     monkeypatch.setitem(pipeline.ALGORITHMS, "asrmae",
@@ -527,7 +540,7 @@ def test_replayed_record_loaded_once_per_command(tmp_path, monkeypatch, args):
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     path = write_walk_cir(tmp_path / "cir.csv")
     assert run_cli([*args, "--override", f"run.cir_csv={path}",
-                    "--override", "tracker.n_train=80", "--seeds", "3",
+                    "--override", "sim.n_train=80", "--seeds", "3",
                     "--out", tmp_path / "out"]) == 0
     assert len(calls) == 1
 
@@ -588,20 +601,14 @@ CONFIG_KEYS = {
     ("tracker", "rank"): ("6", 6, "six"),
     ("tracker", "mu"): ("0.01", 0.01, "big"),
     ("tracker", "beta"): ("0.99", 0.99, "one"),
-    ("tracker", "n_train"): ("500", 500, "5e2"),
     ("tracker", "sigma_v2"): ("0.25", 0.25, "quiet"),
     ("tracker", "dynamic_phi"): ("false", False, "maybe"),
     ("tracker", "correlated_noise"): ("no", False, "2"),
     ("tracker", "fb_smoothing"): ("Off", False, "nope"),
-    ("tracker", "floor_db"): ("-90.5", -90.5, "low"),
-    ("tracker", "reorth_period"): ("25", 25, "often"),
     ("run", "algos"): ("lms, asrmae", ("lms", "asrmae"), "kalman"),
     ("run", "seeds"): ("3", (0, 1, 2), "three"),
     ("run", "out_dir"): (" elsewhere ", "elsewhere", None),
     ("run", "emit_errors"): ("0", False, "none"),
-    ("run", "emit_phi_traj"): ("no", False, "y"),
-    ("run", "emit_coherence"): ("false", False, "f"),
-    ("run", "emit_spectrum"): ("off", False, "disabled"),
     ("run", "cir_csv"): (" rec.csv ", "rec.csv", None),
 }
 
@@ -610,9 +617,12 @@ def test_config_keys_are_the_dataclass_fields():
     cfg = load_config()
     fields = {(section, f.name) for section in ("sim", "tracker", "run")
               for f in dataclasses.fields(getattr(cfg, section))}
-    # The seeds run come from run.seeds, so sim.seed is no key.
-    assert set(CONFIG_KEYS) == fields - {("sim", "seed")}
-    for key in ("sim.pulse_span", "sim.n_tapz", "tracker.ranks", "run.seed", "sim.seed"):
+    # The seeds run come from run.seeds, so sim.seed is no key; sim.n_train
+    # sets tracker.n_train.
+    assert set(CONFIG_KEYS) == fields - {("sim", "seed"), ("tracker", "n_train")}
+    for key in ("sim.pulse_span", "sim.n_tapz", "tracker.ranks", "run.seed", "sim.seed",
+                "tracker.n_train", "tracker.floor_db", "tracker.reorth_period",
+                "run.emit_phi_traj", "run.emit_coherence", "run.emit_spectrum"):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(None, [f"{key}=1"])
 
@@ -634,9 +644,6 @@ ALL_RUN_FILES = {"summary.csv", "errors.csv", "phi_traj.csv", "coherence_taps.cs
 
 @pytest.mark.parametrize("flag,dropped", [
     ("emit_errors", {"errors.csv"}),
-    ("emit_phi_traj", {"phi_traj.csv"}),
-    ("emit_coherence", {"coherence_taps.csv", "coherence_components.csv"}),
-    ("emit_spectrum", {"eigenspectrum.csv"}),
 ])
 def test_run_emit_flag_off_drops_its_files(tmp_path, flag, dropped):
     out = tmp_path / "out"
@@ -670,10 +677,8 @@ def test_coherence_table_matches_reference_loop():
 # Tracker and simulator values their field's type accepts but the run cannot use.
 OUT_OF_RANGE = ["tracker.mu=0", "tracker.mu=-0.01", "tracker.mu=nan", "tracker.mu=inf",
                 "tracker.sigma_v2=-1", "tracker.sigma_v2=0", "tracker.sigma_v2=nan",
-                "tracker.sigma_v2=inf", "tracker.reorth_period=-1",
-                "tracker.floor_db=nan", "tracker.floor_db=inf",
-                "tracker.order=0", "tracker.rank=0", "tracker.n_train=0",
-                "tracker.beta=0", "tracker.beta=1.5",
+                "tracker.sigma_v2=inf", "tracker.order=0", "tracker.rank=0",
+                "tracker.beta=0", "tracker.beta=1.5", "sim.n_train=0",
                 "sim.snr_db=nan", "sim.snr_db=-inf", "sim.snr_db=-1e300", "sim.omega_q=nan",
                 "sim.phi_drift=nan", "sim.power_decay=nan", "sim.power_decay=-1",
                 "sim.preset=stormy", "sim.r_true=63", "sim.r_true=64", "sim.n_steps=0",
@@ -720,10 +725,6 @@ def test_override_without_section_and_key_exits_2(tmp_path, override):
     assert not out.exists()
 
 
-def test_reorth_period_zero_still_means_never():
-    assert load_config(None, ["tracker.reorth_period=0"]).tracker.reorth_period == 0
-
-
 # A rotating basis needs r_true + 2 <= n_taps (12 here); a fixed one takes every tap.
 # Growing powers are taken relative to the strongest, so a huge decay does not overflow.
 # At -1600 dB the tracked taps' powers are so large that the product of two overflows.
@@ -739,22 +740,24 @@ def test_edge_sim_values_still_run(tmp_path, override):
 
 
 def test_snr_whose_noise_variance_overflows_exits_3(tmp_path, capsys):
-    # Above the config's SNR bound, but the signal power times 10^308.2 is not a float.
+    # Above the config's SNR bound, but the record's energy times the headroom
+    # is not a float (at -3082 dB not even the noise variance is); the trackers
+    # would overflow summing its squared observations.
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli(["run", *SMALL, "--override", "sim.snr_db=-3082", "--seed", "0",
-                        "--out", out]) == 3
-    assert "noise_variance_for_snr" in capsys.readouterr().err
-    assert not out.exists()
+    for snr_db in (-3060, -3070, -3080, -3082):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", *SMALL, "--override", f"sim.snr_db={snr_db}",
+                            "--seed", "0", "--out", out]) == 3
+        assert "noise_variance_for_snr" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args,calls", [
     (["run", "--seeds", "2", "--algos", "lms,asrmae,dfb_asrmae"], 2),
-    (["run", "--seeds", "2", "--algos", "lms,asrmae,dfb_asrmae",
-      "--override", "run.emit_coherence=false"], 0),
+    (["run", "--seeds", "2", "--algos", "lms"], 0),
     (["sweep-rank", "--seeds", "2", "--ranks", "2,3"], 0),
-], ids=["run", "run-no-coherence", "sweep-rank"])
+], ids=["run", "run-lms", "sweep-rank"])
 def test_coherence_computed_only_for_written_tables(tmp_path, monkeypatch, args, calls):
     seen = []
     for module in (cli, pipeline):

@@ -158,6 +158,11 @@ def test_validates_rank_and_training_window():
         run_asrmae(obs, TrackerConfig(rank=25, n_train=500))
     with pytest.raises(InvalidInputError):
         run_asrmae(obs, TrackerConfig(rank=6, n_train=1500))
+    # Order 3 needs 4 training rows after the one-step LMS warm-up; LMS fits nothing.
+    short = TrackerConfig(order=3, rank=6, n_train=4)
+    with pytest.raises(InvalidInputError, match="n_train=4"):
+        run_asrmae(obs, short)
+    assert np.isfinite(run_lms(obs, short).mean_err_db)
 
 
 def test_algorithm_registry():
