@@ -11,6 +11,7 @@ All randomness is driven by explicit seeds; identical inputs give
 bit-identical outputs.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -272,7 +273,13 @@ def noise_variance_for_snr(traj: ChannelTrajectory, snr_db: float) -> float:
     Raises ``InvalidInputError`` unless the trackers can sum the squared
     observations: ``_ENERGY_HEADROOM`` times their expected sum must be a float.
     """
-    signal_power = float(np.mean(np.sum(np.abs(traj.h) ** 2, axis=1)))
+    # Scaled by a power of two near the largest tap before squaring, so no
+    # square overflows; the scaling is exact, so the power is unchanged.
+    magnitudes = np.abs(traj.h)
+    peak = float(np.max(magnitudes, initial=0.0))
+    exponent = math.frexp(peak)[1] - 1 if 0 < peak < math.inf else 0
+    scale = math.ldexp(1.0, exponent)
+    signal_power = float(np.mean(np.sum((magnitudes / scale) ** 2, axis=1))) * scale * scale
     sigma_v2 = signal_power * 10.0 ** (-snr_db / 10.0)
     if not np.isfinite(traj.n_steps * (signal_power + sigma_v2) * _ENERGY_HEADROOM):
         raise InvalidInputError(

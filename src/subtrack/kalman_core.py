@@ -14,6 +14,8 @@ pipeline fuses one block of the backward sweep per call, so each call's
 singular-sum ridge covers only its own block).
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,32 +73,42 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: flo
     ``r_n = row @ Z + v``, ``E|v|^2 = noise_var``.
 
     Returns the filtered ``(mean, cov)``, the innovation and its variance.
+    Only those two scalars are checked for finiteness, before the gain is
+    formed: a non-finite entry of ``mean``, ``cov``, ``row`` or ``r_n`` makes
+    one of them non-finite (NaN or inf times zero is NaN), and raises
+    ``NumericError``.  An inf times zero is also an invalid operation, which
+    numpy's ``errstate`` decides how to report; the pipeline raises it.
     """
     if not noise_var > 0:
         raise InvalidInputError(f"kf_update: noise_var must be positive, got {noise_var}")
-    if not (np.isfinite(r_n) and np.isfinite(row).all()
-            and np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise NumericError("kalman_core.kf_update: non-finite input")
 
     cov_dh = cov @ row.conj()                  # K D^H
     g = max(float((row @ cov_dh).real), 0.0) + noise_var
-    gain = cov_dh / g
     innovation = complex(r_n - row @ mean)
+    if not (math.isfinite(g) and cmath.isfinite(innovation)):
+        raise NumericError("kalman_core.kf_update: non-finite input")
+    gain = cov_dh / g
     mean = mean + gain * innovation
-    cov = cov - np.outer(gain, row @ cov)
+    cov = cov - gain[:, np.newaxis] * (row @ cov)
     cov = 0.5 * (cov + cov.conj().T)
     return mean, cov, innovation, g
 
 
 def kf_predict(mean: np.ndarray, cov: np.ndarray, trans: np.ndarray,
                noise: np.ndarray):
-    """Propagate a filtered ``(mean, cov)`` one step through the (rp, rp)
-    transition matrix ``trans`` with stacked process noise ``noise``: the
-    :func:`companion` of the coefficients and the :func:`stacked_noise`, or
-    the pair :func:`backward_model` returns.
+    """Propagate a filtered ``(mean, cov)`` one step through the transition
+    ``trans`` with stacked process noise ``noise``: the :func:`companion` of
+    the coefficients and the :func:`stacked_noise`, or the pair
+    :func:`backward_model` returns.  A 1-D ``trans`` is a diagonal transition,
+    such as the (r,) coefficients ``phi[:, 0]`` of a p = 1 model, applied
+    elementwise.
     """
-    mean = trans @ mean
-    cov = trans @ cov @ trans.conj().T + noise
+    if trans.ndim == 1:
+        mean = trans * mean
+        cov = trans[:, np.newaxis] * trans.conj() * cov + noise
+    else:
+        mean = trans @ mean
+        cov = trans @ cov @ trans.conj().T + noise
     cov = 0.5 * (cov + cov.conj().T)
     return mean, cov
 
@@ -114,7 +126,8 @@ class RecursiveAutocorr:
         self.order = order
         self.table = np.zeros((rank, order + 1), dtype=np.complex128)
         self.count = 0
-        self._history = np.zeros((order, rank), dtype=np.complex128)
+        # Row m holds z(n-m) once the newest vector is in row 0.
+        self._lagged = np.zeros((order + 1, rank), dtype=np.complex128)
 
     def update(self, z_new: np.ndarray) -> np.ndarray:
         """Fold one component vector into the running averages."""
@@ -122,14 +135,13 @@ class RecursiveAutocorr:
         if z_new.size != self.rank:
             raise InvalidInputError(
                 f"RecursiveAutocorr: got {z_new.size} components, expected {self.rank}")
-        lagged = np.concatenate([z_new[np.newaxis, :], self._history], axis=0)
+        lagged = self._lagged
+        lagged[1:] = lagged[:-1]
+        lagged[0] = z_new
         sample = z_new[:, np.newaxis] * lagged.conj().T
         n = self.count
         self.table = (n / (n + 1)) * self.table + sample / (n + 1)
         self.count = n + 1
-        if self.order > 0:
-            self._history[1:] = self._history[:-1]
-            self._history[0] = z_new
         return self.table
 
 

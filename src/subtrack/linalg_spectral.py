@@ -106,7 +106,10 @@ def solve_yule_walker(table: np.ndarray):
     toep[:, upper] = toep[:, upper].conj()
     rhs = table[:, 1:]
 
-    condition = np.linalg.cond(toep)
+    # Hermitian, so the 2-norm condition number is max|eigenvalue| / min|eigenvalue|.
+    magnitudes = np.abs(np.linalg.eigvalsh(toep))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = magnitudes.max(axis=1) / magnitudes.min(axis=1)
     ridged = ~np.isfinite(condition) | (condition > RIDGE_CONDITION_LIMIT)
     if ridged.any():
         toep[ridged] = toep[ridged] + (RIDGE * r0[ridged].real)[:, None, None] * np.eye(order)

@@ -12,14 +12,18 @@ fit of its first ``n_train`` estimates, and a PAST-d pass driven by the same
 estimates.  While a record lives the runners share one LMS pass per ``mu``
 (its estimates and its a-priori errors), one coarse fit per rank and order,
 and one PAST-d pass for every rank and order.  The forward filter carries
-each step's (r, p) AR coefficients, predicts through their companion matrix
-and the process noise stacked once per run, and keeps them in one (N, r, p)
-``phis`` array, from which :func:`~subtrack.kalman_core.backward_model`
-inverts the reversed-time filter's ``(transition, noise)`` pair wherever they
-change.  The backward sweep holds one block of
-``_FUSION_BLOCK`` steps of its estimates and fuses each complete block with
-the forward ones (:func:`~subtrack.kalman_core.fb_fuse`), so it never holds a
-backward covariance per step.
+each step's (r, p) AR coefficients and predicts through their companion
+matrix, or at p = 1 elementwise through the (r,) coefficient vector, with the
+process noise stacked once per run.  It checks the observations and symbol
+windows once before its loop, runs the loop under ``np.errstate`` so an
+overflow or invalid operation is a ``NumericError``, and checks its final
+state once after.  It keeps the coefficients in one (N, r, p) ``phis`` array,
+from which :func:`~subtrack.kalman_core.backward_model` inverts the
+reversed-time filter's ``(transition, noise)`` pair wherever they change.  The
+backward sweep holds one block of ``_FUSION_BLOCK`` steps of its estimates and
+fuses each complete block with the forward ones
+(:func:`~subtrack.kalman_core.fb_fuse`), so it never holds a backward
+covariance per step.
 """
 
 import weakref
@@ -200,13 +204,17 @@ def _front_end(obs: ObservationSequence, cfg: TrackerConfig):
 def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
                           algo: str) -> TrackResult:
     check_training(cfg, obs.d.shape)
+    if not (np.isfinite(obs.r).all() and np.isfinite(obs.d).all()):
+        raise NumericError("tracker: non-finite observations or symbol windows")
     n_steps = obs.d.shape[0]
     rank, order, n_train = cfg.rank, cfg.order, cfg.n_train
     dim = rank * order
 
     lms_errors, coarse, q_seq = _front_end(obs, cfg)
     noise_cov = coarse.noise_full if cfg.correlated_noise else coarse.noise_diag
-    noise, phi, trans = stacked_noise(noise_cov, order), coarse.phi, companion(coarse.phi)
+    noise, phi = stacked_noise(noise_cov, order), coarse.phi
+    # At p = 1 the transition is diagonal: kf_predict takes its (r,) vector.
+    trans = phi[:, 0] if order == 1 else companion(phi)
     sigma = _filter_noise_variance(cfg, obs, lms_errors)
 
     rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
@@ -221,20 +229,26 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
     cov = np.eye(dim, dtype=np.complex128) * float(np.mean(coarse.autocorr[:, 0].real))
     running = RecursiveAutocorr(rank, order)
 
-    for n in range(n_steps):
-        rows[n, :rank] = obs.d[n] @ q_seq[n]
-        mean, cov, xi_fwd[n], _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
-        means_f[n] = mean
-        if cfg.fb_smoothing:
-            covs_f[n] = cov
-            phis[n] = phi
-        mean, cov = kf_predict(mean, cov, trans, noise)
-        phi_traj[n] = np.abs(phi[:, 0])
-        if cfg.dynamic_phi:
-            running.update(mean[:rank])
-            if n + 1 >= n_train:
-                phi = predict_transition(running.table, previous=phi)
-                trans = companion(phi)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(n_steps):
+                rows[n, :rank] = obs.d[n] @ q_seq[n]
+                mean, cov, xi_fwd[n], _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
+                means_f[n] = mean
+                if cfg.fb_smoothing:
+                    covs_f[n] = cov
+                    phis[n] = phi
+                mean, cov = kf_predict(mean, cov, trans, noise)
+                phi_traj[n] = np.abs(phi[:, 0])
+                if cfg.dynamic_phi:
+                    running.update(mean[:rank])
+                    if n + 1 >= n_train:
+                        phi = predict_transition(running.table, previous=phi)
+                        trans = phi[:, 0] if order == 1 else companion(phi)
+    except FloatingPointError as exc:
+        raise NumericError(f"tracker: the forward filter failed at step {n} ({exc})") from None
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NumericError("tracker: the forward filter ended in a non-finite state")
 
     if cfg.fb_smoothing:
         block = min(_FUSION_BLOCK, n_steps)

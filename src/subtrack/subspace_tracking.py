@@ -66,27 +66,36 @@ class PastdTracker:
                 f"PastdTracker.step: input shape {x.shape} != ({self.n_inputs},)")
         k = self.n_inputs
         work = x.copy()
+        beta = self.beta
+        # Python floats within the step: numpy-scalar arithmetic on each
+        # column's power costs more than the column's own vector work.
+        powers = self.powers.tolist()
         # Column i is measured against the strongest of columns 0..i only, so
         # like the deflation itself it never looks at a later column: the
         # first r columns of a rank-R tracker are a rank-r tracker.
         freeze_levels = (FREEZE_RATIO * np.maximum.accumulate(self.powers)).tolist()
+        multiplies = 0
         for i in range(self.rank):
             col = self.w[:, i]
             y = np.vdot(col, work)
-            self.powers[i] = self.beta * self.powers[i] + (y.real * y.real + y.imag * y.imag)
-            if self.powers[i] < POWER_UNDERFLOW:
+            y_c = complex(y)
+            power = beta * powers[i] + (y_c.real * y_c.real + y_c.imag * y_c.imag)
+            if power < POWER_UNDERFLOW:
                 raise TrackerStallError(
                     f"PastdTracker: power estimate for column {i} underflowed "
-                    f"({self.powers[i]:.3e})")
-            if self.powers[i] < freeze_levels[i]:
+                    f"({power:.3e})")
+            if power < freeze_levels[i]:
                 # Unexcited direction: hold the column instead of amplifying
                 # noise; it re-activates as soon as real energy returns.
-                self.powers[i] = freeze_levels[i]
-                self.multiply_count += k + 1
+                powers[i] = freeze_levels[i]
+                multiplies += k + 1
                 continue
-            col += (work - col * y) * (y.conjugate() / self.powers[i])
+            powers[i] = power
+            col += (work - col * y) * (np.conj(y) / power)
             work -= col * y
-            self.multiply_count += 4 * k + 2
+            multiplies += 4 * k + 2
+        self.powers[:] = powers
+        self.multiply_count += multiplies
         self.step_count += 1
         if self.reorth_period > 0 and self.step_count % self.reorth_period == 0:
             self._reorthonormalize()

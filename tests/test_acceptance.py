@@ -288,22 +288,29 @@ def test_criterion_9_flag_degeneracy_bit_identical():
 def test_criterion_10_cost_scaling():
     t0 = time.perf_counter()
 
-    def tracker_seconds_per_step(n_taps, rank, n_steps=1200, n_train=400):
-        _, _, obs, _ = simulate("calm", 5, n_taps=n_taps, n_steps=n_steps,
+    def tracker_seconds_per_step(n_taps, rank, lengths=(1200, 2400), n_train=400):
+        _, _, obs, _ = simulate("calm", 5, n_taps=n_taps, n_steps=max(lengths),
                                 n_train=n_train, r_true=min(rank, 8),
                                 phi_lo=0.99, phi_hi=0.995)
         # Step size scaled with the tap count to keep the LMS stable; only
         # the timing matters here.
         cfg = TrackerConfig(rank=rank, n_train=n_train, mu=0.25 / n_taps)
-        # Best of three, as timeit reports: host noise only ever adds time.
-        # Each call gets a fresh record, so each runs the whole front end.
-        best = float("inf")
-        for _ in range(3):
-            record = dataclasses.replace(obs)
-            start = time.perf_counter()
-            run_dfb_asrmae(record, cfg)
-            best = min(best, time.perf_counter() - start)
-        return best / n_steps
+        best = []
+        for n_steps in lengths:
+            # Best of three, as timeit reports: host noise only ever adds
+            # time.  Each call gets a fresh record, so each runs the whole
+            # front end.
+            seconds = float("inf")
+            for _ in range(3):
+                record = dataclasses.replace(obs, r=obs.r[:n_steps], d=obs.d[:n_steps])
+                start = time.perf_counter()
+                run_dfb_asrmae(record, cfg)
+                seconds = min(seconds, time.perf_counter() - start)
+            best.append(seconds)
+        # Both lengths share their first n_train steps, so the one-off
+        # training work (the coarse fit's K x K eigendecomposition, cubic in
+        # K) cancels in the difference, which leaves the per-step loop.
+        return (best[1] - best[0]) / (lengths[1] - lengths[0])
 
     # K-dominant regime: 6Kr >> 10(rp)^3; doubling K predicts <= 2x.
     k_ratio = tracker_seconds_per_step(512, 4) / tracker_seconds_per_step(256, 4)

@@ -438,12 +438,13 @@ def test_cir_csv_without_a_grid_exits_2(tmp_path, capsys, text, match):
     assert not out.exists()
 
 
-def write_walk_cir(path, n=240, k=6):
-    """A recorded random-walk channel of n steps and k taps."""
+def write_walk_cir(path, n=240, k=6, scale=1.0):
+    """A recorded random-walk channel of n steps and k taps, times ``scale``."""
     rng = np.random.default_rng(2)
     walk = np.cumsum(0.05 * (rng.standard_normal((n, k))
                              + 1j * rng.standard_normal((n, k))), axis=0)
     walk += rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    walk *= scale
     write_csv(path, ["n", "k", "h_re", "h_im"],
               [[i, j, walk[i, j].real, walk[i, j].imag]
                for i in range(n) for j in range(k)])
@@ -461,6 +462,20 @@ def test_replay_recorded_channel(tmp_path):
     _, rows = read_csv(out / "summary.csv")
     assert len(rows) == 1 and np.isfinite(rows[0][2])
 
+
+
+def test_replayed_channel_whose_energy_overflows_exits_3_without_warnings(tmp_path):
+    # Taps near 1e160: their squares overflow a float, and so would the
+    # trackers' sums of squared observations.
+    path = write_walk_cir(tmp_path / "cir.csv", scale=1e160)
+    proc = run_python(["-W", "error::RuntimeWarning", "-m", "subtrack.cli", "run",
+                       "--override", f"run.cir_csv={path}", "--override", "tracker.rank=3",
+                       "--override", "sim.n_train=80", "--seed", "0", "--algos", "asrmae",
+                       "--out", tmp_path / "out"])
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "noise_variance_for_snr" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_replay_takes_a_sim_n_train_beyond_the_simulators_steps(tmp_path):

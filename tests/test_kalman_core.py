@@ -165,6 +165,21 @@ def test_predict_matches_dense_triple_product():
     assert_allclose(pred_cov, 0.5 * (want + want.conj().T), atol=1e-12)
 
 
+def test_predict_vector_transition_is_the_diagonal_companion():
+    rng = np.random.default_rng(12)
+    rank = 7
+    phi = rng.uniform(0.5, 0.99, rank) * np.exp(1j * rng.uniform(-np.pi, np.pi, rank))
+    a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    b = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    cov0, noise = a @ a.conj().T, 0.1 * b @ b.conj().T
+    mean0 = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+    mean, cov = kf_predict(mean0, cov0, phi, noise)
+    want_mean, want_cov = kf_predict(mean0, cov0, companion(phi[:, None]), noise)
+    assert np.abs(mean - want_mean).max() <= 1e-14 * np.abs(want_mean).max()
+    assert np.abs(cov - want_cov).max() <= 1e-14 * np.abs(want_cov).max()
+    assert np.array_equal(cov, cov.conj().T)
+
+
 def test_companion_structure_order2():
     want = np.array([
         [0.5, 0.0, 0.2, 0.0],

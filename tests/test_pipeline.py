@@ -72,6 +72,21 @@ def test_higher_order_smoothing_overflow_is_a_numeric_error(order):
             run_dfb_asrmae(obs, TrackerConfig(order=order, rank=6, n_train=500))
 
 
+@pytest.mark.parametrize("field,bad", [("r", np.nan), ("r", np.inf), ("d", np.nan),
+                                       ("d", -np.inf)])
+def test_nonfinite_observations_are_a_numeric_error(field, bad):
+    _, _, obs, _ = make_observations(n_steps=600, n_train=200)
+    values = getattr(obs, field).copy()
+    values.flat[values.size // 2] = bad
+    record = dataclasses.replace(obs, **{field: values})
+    cfg = TrackerConfig(rank=6, n_train=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (run_asrmae, run_dfb_asrmae):
+            with pytest.raises(NumericError, match="non-finite observations"):
+                run(record, cfg)
+
+
 def test_noiseless_static_channel_in_model_class():
     # phi = 1, zero innovation, frozen basis: the tracker should lock on.
     # Real-valued truth (the coarse estimator resolves the channel in

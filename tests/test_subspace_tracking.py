@@ -174,3 +174,44 @@ def test_rank_one_slice_differs_only_by_rounding():
     x = rng.standard_normal((200, 6)) + 1j * rng.standard_normal((200, 6))
     *_, wide_seq, narrow_seq = nested_pair(np.array([3.0, 2.0, 1.0]), x, 1)
     assert_allclose(wide_seq[:, :, :1], narrow_seq, rtol=0, atol=1e-13)
+
+
+def reference_step(tracker, x):
+    """The column loop of ``PastdTracker.step`` with numpy-scalar powers, as it
+    stood before the powers became Python floats within a step."""
+    k = tracker.n_inputs
+    work = np.asarray(x, dtype=np.complex128).copy()
+    freeze_levels = (FREEZE_RATIO * np.maximum.accumulate(tracker.powers)).tolist()
+    for i in range(tracker.rank):
+        col = tracker.w[:, i]
+        y = np.vdot(col, work)
+        tracker.powers[i] = tracker.beta * tracker.powers[i] + (y.real * y.real + y.imag * y.imag)
+        if tracker.powers[i] < freeze_levels[i]:
+            tracker.powers[i] = freeze_levels[i]
+            tracker.multiply_count += k + 1
+            continue
+        col += (work - col * y) * (y.conjugate() / tracker.powers[i])
+        work -= col * y
+        tracker.multiply_count += 4 * k + 2
+    tracker.step_count += 1
+    if tracker.step_count % tracker.reorth_period == 0:
+        tracker._reorthonormalize()
+    return tracker.w.copy()
+
+
+def test_step_is_bit_identical_to_the_numpy_scalar_loop():
+    # Column 2 carries no energy and freezes; a sweep runs every 7 steps.
+    rng = np.random.default_rng(6)
+    k, n = 10, 240
+    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    x[:, 2] = 0.0
+    basis = np.eye(k, dtype=complex)[:, :4]
+    powers = np.array([2.0, 1.0, 1e-16, 0.5])
+    fast = PastdTracker(basis, powers, beta=0.97, reorth_period=7)
+    slow = PastdTracker(basis, powers, beta=0.97, reorth_period=7)
+    for row in x:
+        assert np.array_equal(fast.step(row), reference_step(slow, row))
+        assert np.array_equal(fast.powers, slow.powers)
+    assert fast.multiply_count == slow.multiply_count
+    assert np.array_equal(fast.w[:, 2], np.eye(k)[:, 2])
+    assert fast.powers[2] >= FREEZE_RATIO * powers[0]
