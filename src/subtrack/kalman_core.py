@@ -4,9 +4,11 @@ The state is the stacked vector ``Z(n) = [z(n); z(n-1); ...; z(n-p+1)]`` of
 length r*p.  Its dynamics are plain arrays: (r, p) coefficients ``phi``, whose
 :func:`companion` matrix is the transition, and an (r, r) process noise, which
 :func:`stacked_noise` embeds in the stacked state.  This module supplies the
-forward update/prediction steps on ``(mean, cov)``, the running
-autocorrelation table that feeds per-step re-fits of the coefficients (one
-stacked Yule-Walker solve over all components per step), the reversed-time
+forward update/prediction steps on ``(mean, cov)`` (the prediction
+symmetrises the covariance, the update leaves it Hermitian to rounding), the
+running table of lag-product sums that feeds per-step re-fits of the
+coefficients (one stacked Yule-Walker solve over all components per step,
+which reads the table up to scale), the reversed-time
 ``(transition, noise)`` pair of a model, and the two-filter combination of
 forward and backward filtered estimates, one step at a time
 (:func:`fb_combine`) or batched over a stack of steps (:func:`fb_fuse`; the
@@ -72,8 +74,11 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: flo
     """Measurement update of a predicted state with one scalar observation
     ``r_n = row @ Z + v``, ``E|v|^2 = noise_var``.
 
-    Returns the filtered ``(mean, cov)``, the innovation and its variance.
-    Only those two scalars are checked for finiteness, before the gain is
+    Returns the filtered ``(mean, cov)``, the innovation and its variance
+    ``g``.  The covariance update is ``cov - u u^H`` with ``u = K D^H /
+    sqrt(g)``.  It is not symmetrised: the product is Hermitian to rounding
+    only, and the :func:`kf_predict` that follows symmetrises.  Only those two
+    scalars are checked for finiteness, before the gain is
     formed: a non-finite entry of ``mean``, ``cov``, ``row`` or ``r_n`` makes
     one of them non-finite (NaN or inf times zero is NaN), and raises
     ``NumericError``.  An inf times zero is also an invalid operation, which
@@ -87,10 +92,11 @@ def kf_update(mean: np.ndarray, cov: np.ndarray, row: np.ndarray, noise_var: flo
     innovation = complex(r_n - row @ mean)
     if not (math.isfinite(g) and cmath.isfinite(innovation)):
         raise NumericError("kalman_core.kf_update: non-finite input")
-    gain = cov_dh / g
-    mean = mean + gain * innovation
-    cov = cov - gain[:, np.newaxis] * (row @ cov)
-    cov = 0.5 * (cov + cov.conj().T)
+    mean = mean + cov_dh * (innovation / g)
+    # (K D^H)(K D^H)^H / g as u u^H, u scaled first so that a huge covariance
+    # cannot overflow the outer product.
+    u = cov_dh / math.sqrt(g)
+    cov = cov - u[:, np.newaxis] * u.conj()
     return mean, cov, innovation, g
 
 
@@ -101,7 +107,7 @@ def kf_predict(mean: np.ndarray, cov: np.ndarray, trans: np.ndarray,
     the coefficients and the :func:`stacked_noise`, or the pair
     :func:`backward_model` returns.  A 1-D ``trans`` is a diagonal transition,
     such as the (r,) coefficients ``phi[:, 0]`` of a p = 1 model, applied
-    elementwise.
+    elementwise.  The predicted covariance is symmetrised.
     """
     if trans.ndim == 1:
         mean = trans * mean
@@ -114,11 +120,13 @@ def kf_predict(mean: np.ndarray, cov: np.ndarray, trans: np.ndarray,
 
 
 class RecursiveAutocorr:
-    """Running per-component autocorrelation table over predicted components.
+    """Running per-component lag-product sums over predicted components.
 
-    After ``count`` updates the table equals the batch average
-    ``(1/count) sum_n z(n) conj(z(n-m))`` with zero pre-start history, for
-    lags m = 0..order.
+    After ``count`` updates the (rank, order+1) table holds the sums
+    ``sum_n z(n) conj(z(n-m))`` with zero pre-start history, for lags
+    m = 0..order; ``table / count`` is the batch-average autocorrelation.
+    :func:`predict_transition` reads the table up to scale, so it takes the
+    sums as they are.
     """
 
     def __init__(self, rank: int, order: int):
@@ -130,7 +138,7 @@ class RecursiveAutocorr:
         self._lagged = np.zeros((order + 1, rank), dtype=np.complex128)
 
     def update(self, z_new: np.ndarray) -> np.ndarray:
-        """Fold one component vector into the running averages."""
+        """Fold one component vector into the running sums."""
         z_new = np.asarray(z_new, dtype=np.complex128).reshape(-1)
         if z_new.size != self.rank:
             raise InvalidInputError(
@@ -138,10 +146,8 @@ class RecursiveAutocorr:
         lagged = self._lagged
         lagged[1:] = lagged[:-1]
         lagged[0] = z_new
-        sample = z_new[:, np.newaxis] * lagged.conj().T
-        n = self.count
-        self.table = (n / (n + 1)) * self.table + sample / (n + 1)
-        self.count = n + 1
+        self.table += z_new[:, np.newaxis] * lagged.conj().T
+        self.count += 1
         return self.table
 
 
@@ -149,6 +155,8 @@ def predict_transition(table: np.ndarray,
                        previous: Optional[np.ndarray] = None) -> np.ndarray:
     """Re-fit the (r, p) transition coefficients from a (possibly running)
     (r, p+1) autocorrelation table; its shape gives the rank r and the order p.
+    The table is read up to a positive scale per row, so the running sums of
+    :class:`RecursiveAutocorr` serve as well as their average.
 
     At p = 1 each coefficient is R(1)/R(0); at p >= 2 every component's
     coefficients come from one stacked Yule-Walker solve of the table
@@ -258,7 +266,8 @@ def fb_fuse(means_f: np.ndarray, covs_f: np.ndarray, means_b: np.ndarray,
     """Fused means of ``(N, d)`` forward/backward filtered means and their
     ``(N, d, d)`` covariances, in one solve: ``Z = Z_f + K_f (K_f + K_b)^-1
     (Z_b - Z_f)``, the mean of :func:`fb_combine` without its covariance.  The
-    covariances must be Hermitian; their sum is not re-symmetrised."""
+    covariances must be Hermitian to rounding, as :func:`kf_update` leaves
+    them; their sum is not re-symmetrised."""
     solved = _hermitian_inverse_apply(covs_f + covs_b, [(means_b - means_f)[..., None]])
     if solved is None:
         raise FusionError("fb_fuse: forward plus backward covariance is singular")

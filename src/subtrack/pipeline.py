@@ -14,10 +14,12 @@ estimates.  While a record lives the runners share one LMS pass per ``mu``
 and one PAST-d pass for every rank and order.  The forward filter carries
 each step's (r, p) AR coefficients and predicts through their companion
 matrix, or at p = 1 elementwise through the (r,) coefficient vector, with the
-process noise stacked once per run.  It checks the observations and symbol
-windows once before its loop, runs the loop under ``np.errstate`` so an
-overflow or invalid operation is a ``NumericError``, and checks its final
-state once after.  It keeps the coefficients in one (N, r, p) ``phis`` array,
+process noise stacked and every step's measurement row ``d(n)^T Q(n)`` formed
+once per run.  It checks the observations and symbol windows once before its
+loop, runs the loop under ``np.errstate`` so an overflow or invalid operation
+is a ``NumericError``, and checks its final state once after.  It stores each
+step's filtered covariance as ``kf_update`` leaves it, Hermitian to rounding.
+It keeps the coefficients in one (N, r, p) ``phis`` array,
 from which :func:`~subtrack.kalman_core.backward_model` inverts the
 reversed-time filter's ``(transition, noise)`` pair wherever they change.  The
 backward sweep holds one block of ``_FUSION_BLOCK`` steps of its estimates and
@@ -218,6 +220,7 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
     sigma = _filter_noise_variance(cfg, obs, lms_errors)
 
     rows = np.zeros((n_steps, dim), dtype=np.complex128)  # [d_z^T, 0, ..., 0]
+    np.einsum("nk,nkr->nr", obs.d, q_seq, out=rows[:, :rank])
     xi_fwd = np.empty(n_steps, dtype=np.complex128)
     means_f = np.empty((n_steps, dim), dtype=np.complex128)
     phi_traj = np.empty((n_steps, rank), dtype=np.float64)
@@ -232,14 +235,13 @@ def _run_subspace_tracker(obs: ObservationSequence, cfg: TrackerConfig,
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(n_steps):
-                rows[n, :rank] = obs.d[n] @ q_seq[n]
                 mean, cov, xi_fwd[n], _ = kf_update(mean, cov, rows[n], sigma, obs.r[n])
                 means_f[n] = mean
                 if cfg.fb_smoothing:
                     covs_f[n] = cov
                     phis[n] = phi
                 mean, cov = kf_predict(mean, cov, trans, noise)
-                phi_traj[n] = np.abs(phi[:, 0])
+                np.abs(phi[:, 0], out=phi_traj[n])
                 if cfg.dynamic_phi:
                     running.update(mean[:rank])
                     if n + 1 >= n_train:

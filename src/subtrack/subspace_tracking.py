@@ -2,9 +2,10 @@
 
 One pass per input vector: each basis column absorbs a rank-one update from
 the (progressively deflated) input, weighted by an exponentially forgotten
-power estimate, at Theta(K*r) arithmetic per step.  Columns are periodically
-re-orthonormalized by modified Gram-Schmidt to stop drift from the projection
-approximation.
+power estimate, at Theta(K*r) arithmetic per step.  A step measures every
+column first, with one inner product and one vector update per column, and
+then moves all columns at once.  Columns are periodically re-orthonormalized
+by modified Gram-Schmidt to stop drift from the projection approximation.
 """
 
 import numpy as np
@@ -59,13 +60,17 @@ class PastdTracker:
         return self.w.shape[1]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Fold one input vector in; returns a copy of the updated basis."""
+        """Fold one input vector in; returns a copy of the updated basis.
+
+        Nothing is written until every column has been measured, so a step
+        that stalls leaves the tracker as it was.
+        """
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.n_inputs,):
             raise InvalidInputError(
                 f"PastdTracker.step: input shape {x.shape} != ({self.n_inputs},)")
-        k = self.n_inputs
-        work = x.copy()
+        w = self.w
+        k, rank = w.shape
         beta = self.beta
         # Python floats within the step: numpy-scalar arithmetic on each
         # column's power costs more than the column's own vector work.
@@ -74,12 +79,24 @@ class PastdTracker:
         # like the deflation itself it never looks at a later column: the
         # first r columns of a rank-R tracker are a rank-r tracker.
         freeze_levels = (FREEZE_RATIO * np.maximum.accumulate(self.powers)).tolist()
+        # Deflation without moving a column: omega[i] is x less eta_j w_j for
+        # each earlier unfrozen column j (eta_j = w_j^H omega[j]), and column
+        # i's deflated input is scale * omega[i], scale being the product of
+        # the earlier columns' 1 - |y_j|^2 / p_j.  So y_i = scale * eta_i, and
+        # column i's residual, its input less w_i y_i, is scale * omega[i + 1]:
+        # once all are measured, each column moves by omega[i + 1] times
+        # gains[i] = scale conj(y_i) / p_i.
+        omega = np.empty((rank + 1, k), dtype=np.complex128)
+        omega[0] = x
+        gains = [0j] * rank
+        scale = 1.0
         multiplies = 0
-        for i in range(self.rank):
-            col = self.w[:, i]
-            y = np.vdot(col, work)
-            y_c = complex(y)
-            power = beta * powers[i] + (y_c.real * y_c.real + y_c.imag * y_c.imag)
+        for i in range(rank):
+            col = w[:, i]
+            eta = complex(np.vdot(col, omega[i]))
+            y = scale * eta
+            energy = y.real * y.real + y.imag * y.imag
+            power = beta * powers[i] + energy
             if power < POWER_UNDERFLOW:
                 raise TrackerStallError(
                     f"PastdTracker: power estimate for column {i} underflowed "
@@ -88,27 +105,32 @@ class PastdTracker:
                 # Unexcited direction: hold the column instead of amplifying
                 # noise; it re-activates as soon as real energy returns.
                 powers[i] = freeze_levels[i]
+                omega[i + 1] = omega[i]
                 multiplies += k + 1
                 continue
             powers[i] = power
-            col += (work - col * y) * (np.conj(y) / power)
-            work -= col * y
+            np.subtract(omega[i], col * eta, out=omega[i + 1])
+            gains[i] = scale * y.conjugate() / power
+            scale *= 1.0 - energy / power
             multiplies += 4 * k + 2
+        w += omega[1:].T * np.array(gains)
         self.powers[:] = powers
         self.multiply_count += multiplies
         self.step_count += 1
         if self.reorth_period > 0 and self.step_count % self.reorth_period == 0:
             self._reorthonormalize()
-        return self.w.copy()
+        return w.copy()
 
     def _reorthonormalize(self):
-        k, r = self.w.shape
-        for i in range(r):
-            col = self.w[:, i]
-            for j in range(i):
-                col -= np.vdot(self.w[:, j], col) * self.w[:, j]
-                self.multiply_count += 2 * k
+        """Modified Gram-Schmidt, row-oriented: each column, once normalized,
+        is projected out of every later column at once."""
+        w = self.w
+        k, r = w.shape
+        for j in range(r):
+            col = w[:, j]
             norm = np.linalg.norm(col)
-            self.multiply_count += k + 1
             if norm > 0:
                 col /= norm
+            later = w[:, j + 1:]
+            later -= col[:, np.newaxis] * np.einsum("k,ki->i", col.conj(), later)
+        self.multiply_count += r * (k + 1) + k * r * (r - 1)

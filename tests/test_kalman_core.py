@@ -136,6 +136,41 @@ def test_update_rejects_nonpositive_noise_var(noise_var):
         kf_update(vec([0.0]), mat([[1.0]]), vec([1.0]), noise_var, 1.0)
 
 
+def test_update_covariance_is_the_gain_form_symmetrised():
+    # cov - u u^H with u = K D^H / sqrt(g) is cov - gain (row @ cov) on a
+    # Hermitian cov; the latter, symmetrised, is the reference.
+    rng = np.random.default_rng(11)
+    d = 12
+    for _ in range(50):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        cov0 = a @ a.conj().T
+        row = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        _, cov, _, g = kf_update(np.zeros(d, complex), cov0, row, 0.3, 1.0 + 0.5j)
+        gain = cov0 @ row.conj() / g
+        want = cov0 - gain[:, np.newaxis] * (row @ cov0)
+        want = 0.5 * (want + want.conj().T)
+        assert np.max(np.abs(cov - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_filtered_covariances_stay_hermitian_to_rounding():
+    # kf_update does not symmetrise and kf_predict does, so over a long run
+    # the filtered covariances never drift from Hermitian beyond rounding.
+    rng = np.random.default_rng(12)
+    d, n = 12, 3000
+    phi = 0.99 * np.exp(2j * np.pi * rng.uniform(size=d))
+    a = 0.1 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    noise = a @ a.conj().T
+    mean, cov = np.zeros(d, complex), np.eye(d, dtype=complex)
+    worst = 0.0
+    for _ in range(n):
+        row = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        mean, cov, _, _ = kf_update(mean, cov, row, 0.1,
+                                    rng.standard_normal() + 1j * rng.standard_normal())
+        worst = max(worst, np.max(np.abs(cov - cov.conj().T)) / np.max(np.abs(cov)))
+        mean, cov = kf_predict(mean, cov, phi, noise)
+    assert worst <= 1e-12
+
+
 # ----------------------------------------------------------------- predict
 def test_predict_identity_dynamics():
     trans, noise = companion(np.ones((2, 1))), stacked_noise(np.zeros((2, 2)), 1)
@@ -211,15 +246,15 @@ def test_autocorr_single_sample():
     acc = RecursiveAutocorr(rank=1, order=1)
     z = np.array([0.5 + 0.5j])
     acc.update(z)
-    assert_allclose(acc.table[0, 0], abs(z[0]) ** 2)
-    assert_allclose(acc.table[0, 1], 0.0)  # no history yet
+    assert_allclose(acc.table[0, 0] / acc.count, abs(z[0]) ** 2)
+    assert_allclose(acc.table[0, 1] / acc.count, 0.0)  # no history yet
 
 
 def test_autocorr_two_sample_mean():
     acc = RecursiveAutocorr(rank=1, order=0)
     acc.update(np.array([1.0 + 0j]))
     acc.update(np.array([3.0 + 0j]))
-    assert_allclose(acc.table[0, 0], 5.0)  # (1 + 9) / 2
+    assert_allclose(acc.table[0, 0] / acc.count, 5.0)  # (1 + 9) / 2
 
 
 def test_autocorr_matches_batch_average():
@@ -233,7 +268,7 @@ def test_autocorr_matches_batch_average():
     for m in range(order + 1):
         want = np.sum(padded[order:] * padded[order - m:n + order - m].conj(),
                       axis=0) / n
-        assert_allclose(acc.table[:, m], want, atol=1e-10)
+        assert_allclose(acc.table[:, m] / acc.count, want, atol=1e-10)
 
 
 # -------------------------------------------------------- model re-fitting
@@ -307,6 +342,38 @@ def test_predict_transition_tracks_drifting_coefficient():
             estimates[s, i] = abs(phi[0, 0])
     mean_est = estimates.mean(axis=0)
     assert np.max(np.abs(mean_est[1000:] - phi_path[1000:])) < 0.05
+
+
+def toeplitz_condition(table):
+    """Largest 2-norm condition number of the rows' Yule-Walker systems."""
+    lags = np.arange(table.shape[1] - 1)
+    toep = table[:, np.abs(lags[:, None] - lags[None, :])]
+    upper = lags[:, None] < lags[None, :]
+    toep[:, upper] = toep[:, upper].conj()
+    return np.linalg.cond(toep).max()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_predict_transition_reads_running_sums_as_their_average(order):
+    # A drifting AR(1) record: the sums grow with the step count while their
+    # average stays O(1).  Dividing by the count rounds the table, and the
+    # Yule-Walker solve amplifies that by its condition number (1 at p = 1).
+    rng = np.random.default_rng(13)
+    n, rank = 3000, 3
+    acc = RecursiveAutocorr(rank, order)
+    z = np.ones(rank, complex)
+    phi_sums = phi_mean = None
+    for i in range(n):
+        a = 0.99 - 0.09 * i / n
+        z = a * z + np.sqrt((1 - a * a) / 2) * (rng.standard_normal(rank)
+                                                + 1j * rng.standard_normal(rank))
+        acc.update(z)
+        mean = acc.table / acc.count
+        phi_sums = predict_transition(acc.table, previous=phi_sums)
+        phi_mean = predict_transition(mean, previous=phi_mean)
+        if i >= order:
+            gap = np.max(np.abs(phi_sums - phi_mean)) / np.max(np.abs(phi_mean))
+            assert gap <= 1e-15 * toeplitz_condition(mean)
 
 
 # ---------------------------------------------------------- backward model
