@@ -33,7 +33,7 @@ from .csvio import file_digest, load_cir_csv, write_csv
 from .errors import ConfigError, InvalidInputError, SubtrackError
 from .linalg_spectral import evd_hermitian, truncate_subspace
 from .metrics import cross_path_coherence, eigenvalue_spectrum
-from .pipeline import ALGORITHMS, check_training
+from .pipeline import ALGORITHMS, check_training, register_jobs
 
 SYMBOL_SEED_OFFSET = 1_000_000
 NOISE_SEED_OFFSET = 2_000_000
@@ -66,12 +66,15 @@ def _check_record(obs, jobs) -> None:
 def _track(cfg: ExperimentConfig, jobs, keep) -> dict:
     """Run each ``(key, algo, tracker config)`` job on every seed, seed by seed,
     on one record (so one front end) per seed; returns ``keep(key, seed, result)``
-    by ``(key, seed)``.  A replayed record is loaded once for all seeds."""
+    by ``(key, seed)``.  The jobs of a record are announced to the pipeline
+    first, so one lockstep forward loop serves them all; each job is still one
+    ``ALGORITHMS[algo]`` call.  A replayed record is loaded once for all seeds."""
     record = load_cir_csv(cfg.run.cir_csv) if cfg.run.cir_csv else None
     results = {}
     for seed in cfg.run.seeds:
         traj, obs = _simulate(cfg, seed, record)
         _check_record(obs, jobs)
+        register_jobs(obs, [(algo, job_cfg) for _, algo, job_cfg in jobs])
         for key, algo, job_cfg in jobs:
             results[key, seed] = keep(key, seed, ALGORITHMS[algo](obs, job_cfg))
         # The record, and with it its front end, goes before the next seed's.

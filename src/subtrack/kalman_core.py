@@ -4,11 +4,14 @@ The state is the stacked vector ``Z(n) = [z(n); z(n-1); ...; z(n-p+1)]`` of
 length r*p.  Its dynamics are plain arrays: (r, p) coefficients ``phi``, whose
 :func:`companion` matrix is the transition, and an (r, r) process noise, which
 :func:`stacked_noise` embeds in the stacked state.  This module supplies the
-forward update/prediction steps on ``(mean, cov)`` (the prediction
-symmetrises the covariance, the update leaves it Hermitian to rounding), the
-running table of lag-product sums that feeds per-step re-fits of the
-coefficients (one stacked Yule-Walker solve over all components per step,
-which reads the table up to scale), the reversed-time
+update/prediction steps on one ``(mean, cov)`` (the prediction symmetrises
+the covariance, the update leaves it Hermitian to rounding; the pipeline's
+backward pass runs them, while its forward loop does the same arithmetic on a
+stack of trackers at once), the running table of lag-product sums that feeds
+per-step re-fits of the coefficients (one stacked Yule-Walker solve over all
+components per step, which reads the table up to scale; a table may stack
+several models' components, and a model that cannot be re-fitted keeps its own
+previous coefficients), the reversed-time
 ``(transition, noise)`` pair of a model, and the two-filter combination of
 forward and backward filtered estimates, one step at a time
 (:func:`fb_combine`) or batched over a stack of steps (:func:`fb_fuse`; the
@@ -151,8 +154,8 @@ class RecursiveAutocorr:
         return self.table
 
 
-def predict_transition(table: np.ndarray,
-                       previous: Optional[np.ndarray] = None) -> np.ndarray:
+def predict_transition(table: np.ndarray, previous: Optional[np.ndarray] = None,
+                       members: int = 1) -> np.ndarray:
     """Re-fit the (r, p) transition coefficients from a (possibly running)
     (r, p+1) autocorrelation table; its shape gives the rank r and the order p.
     The table is read up to a positive scale per row, so the running sums of
@@ -162,22 +165,34 @@ def predict_transition(table: np.ndarray,
     coefficients come from one stacked Yule-Walker solve of the table
     (:func:`~subtrack.linalg_spectral.solve_yule_walker`, which reads p from
     the same width).  Coefficients on or outside the unit circle are radially
-    projected to magnitude ``1 - 1e-6`` with their phase preserved.  If any
-    component's zero-lag power is nonpositive the ``previous`` coefficients
-    are returned as-is.
+    projected to magnitude ``1 - 1e-6`` with their phase preserved.
+
+    The table's rows fall into ``members`` equal blocks, one per member of a
+    stack of models.  A member with any nonpositive zero-lag power keeps its
+    rows of the ``previous`` coefficients; when every member does,
+    ``previous`` itself is returned.
     """
     table = np.asarray(table, dtype=np.complex128)
     if table.ndim != 2 or table.shape[1] < 2:
         raise InvalidInputError(
             f"predict_transition: need an (r, p+1) table with p >= 1, got {table.shape}")
+    if members < 1 or table.shape[0] % members:
+        raise InvalidInputError(
+            f"predict_transition: {table.shape[0]} rows do not split into {members} members")
     order = table.shape[1] - 1
     power = table[:, 0]
     degenerate = (power.real <= 0) | ~np.isfinite(power)
     if degenerate.any():
-        if previous is not None:
+        if previous is None:
+            raise InvalidInputError(
+                "predict_transition: degenerate zero-lag autocorrelation and no fallback")
+        degenerate = np.repeat(degenerate.reshape(members, -1).any(axis=1),
+                               table.shape[0] // members)
+        if degenerate.all():
             return previous
-        raise InvalidInputError(
-            "predict_transition: degenerate zero-lag autocorrelation and no fallback")
+        phi = np.array(previous, dtype=np.complex128)
+        phi[~degenerate] = predict_transition(table[~degenerate])
+        return phi
 
     if order == 1:
         phi = (table[:, 1] / table[:, 0].real)[:, np.newaxis]

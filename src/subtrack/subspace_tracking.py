@@ -6,6 +6,11 @@ power estimate, at Theta(K*r) arithmetic per step.  A step measures every
 column first, with one inner product and one vector update per column, and
 then moves all columns at once.  Columns are periodically re-orthonormalized
 by modified Gram-Schmidt to stop drift from the projection approximation.
+
+The basis is held as contiguous rows, one per column, so every column's
+inner product and update runs on contiguous memory whatever the rank: the
+first r columns of a wider tracker are the rank-r tracker bit for bit, rank 1
+included.
 """
 
 import numpy as np
@@ -30,7 +35,8 @@ class PastdTracker:
     reorth_period : steps between modified Gram-Schmidt sweeps.
 
     The tracker tallies its complex multiplies in ``multiply_count`` so the
-    per-step cost stays checkable.
+    per-step cost stays checkable.  ``w`` is the (K, r) basis, a transposed
+    view of the (r, K) rows the tracker works on.
     """
 
     def __init__(self, basis: np.ndarray, powers: np.ndarray, beta: float = 0.998,
@@ -44,7 +50,13 @@ class PastdTracker:
             raise InvalidInputError(f"PastdTracker: beta must be in (0, 1], got {beta}")
         if np.any(powers <= 0):
             raise InvalidInputError("PastdTracker: initial powers must be positive")
-        self.w = basis.copy()
+        self._rows = basis.T.copy()
+        # The rows' conjugates, so each inner product is a plain dot, and the
+        # deflated inputs; row views of all three are made once.
+        self._rows_conj = self._rows.conj()
+        self._omega = np.empty((basis.shape[1] + 1, basis.shape[0]), dtype=np.complex128)
+        self._cols = list(zip(self._rows, self._rows_conj))
+        self._deflated = list(self._omega)
         self.powers = powers.copy()
         self.beta = float(beta)
         self.reorth_period = int(reorth_period)
@@ -52,12 +64,16 @@ class PastdTracker:
         self.multiply_count = 0
 
     @property
+    def w(self) -> np.ndarray:
+        return self._rows.T
+
+    @property
     def n_inputs(self) -> int:
-        return self.w.shape[0]
+        return self._rows.shape[1]
 
     @property
     def rank(self) -> int:
-        return self.w.shape[1]
+        return self._rows.shape[0]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Fold one input vector in; returns a copy of the updated basis.
@@ -69,8 +85,8 @@ class PastdTracker:
         if x.shape != (self.n_inputs,):
             raise InvalidInputError(
                 f"PastdTracker.step: input shape {x.shape} != ({self.n_inputs},)")
-        w = self.w
-        k, rank = w.shape
+        rank, k = self._rows.shape
+        cols, omega = self._cols, self._deflated
         beta = self.beta
         # Python floats within the step: numpy-scalar arithmetic on each
         # column's power costs more than the column's own vector work.
@@ -86,14 +102,14 @@ class PastdTracker:
         # column i's residual, its input less w_i y_i, is scale * omega[i + 1]:
         # once all are measured, each column moves by omega[i + 1] times
         # gains[i] = scale conj(y_i) / p_i.
-        omega = np.empty((rank + 1, k), dtype=np.complex128)
-        omega[0] = x
+        omega[0][:] = x
+        np.conjugate(self._rows, out=self._rows_conj)
         gains = [0j] * rank
         scale = 1.0
         multiplies = 0
         for i in range(rank):
-            col = w[:, i]
-            eta = complex(np.vdot(col, omega[i]))
+            col, col_conj = cols[i]
+            eta = complex(col_conj.dot(omega[i]))
             y = scale * eta
             energy = y.real * y.real + y.imag * y.imag
             power = beta * powers[i] + energy
@@ -105,7 +121,7 @@ class PastdTracker:
                 # Unexcited direction: hold the column instead of amplifying
                 # noise; it re-activates as soon as real energy returns.
                 powers[i] = freeze_levels[i]
-                omega[i + 1] = omega[i]
+                omega[i + 1][:] = omega[i]
                 multiplies += k + 1
                 continue
             powers[i] = power
@@ -113,24 +129,24 @@ class PastdTracker:
             gains[i] = scale * y.conjugate() / power
             scale *= 1.0 - energy / power
             multiplies += 4 * k + 2
-        w += omega[1:].T * np.array(gains)
+        self._rows += self._omega[1:] * np.array(gains)[:, np.newaxis]
         self.powers[:] = powers
         self.multiply_count += multiplies
         self.step_count += 1
         if self.reorth_period > 0 and self.step_count % self.reorth_period == 0:
             self._reorthonormalize()
-        return w.copy()
+        return self.w.copy()
 
     def _reorthonormalize(self):
-        """Modified Gram-Schmidt, row-oriented: each column, once normalized,
-        is projected out of every later column at once."""
-        w = self.w
-        k, r = w.shape
+        """Modified Gram-Schmidt: each column, once normalized, is projected
+        out of every later column at once."""
+        rows = self._rows
+        r, k = rows.shape
         for j in range(r):
-            col = w[:, j]
+            col = rows[j]
             norm = np.linalg.norm(col)
             if norm > 0:
                 col /= norm
-            later = w[:, j + 1:]
-            later -= col[:, np.newaxis] * np.einsum("k,ki->i", col.conj(), later)
+            later = rows[j + 1:]
+            later -= col * np.einsum("k,ik->i", col.conj(), later)[:, np.newaxis]
         self.multiply_count += r * (k + 1) + k * r * (r - 1)

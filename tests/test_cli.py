@@ -132,12 +132,27 @@ def test_sweep_rank_rows_match_standalone_runs(tmp_path):
         expected.append([rank, "all", float(np.mean(errs))])
     assert [row[:2] for row in rows] == [row[:2] for row in expected]
     for row, want in zip(rows, expected):
-        if row[0] == 1:
-            # A rank-1 slice of the record's widest PAST-d pass differs from a
-            # rank-1 pass by rounding (see pipeline._shared).
-            assert row[2] == pytest.approx(want[2], rel=1e-12)
-        else:
-            assert row[2] == want[2], row
+        assert row[2] == want[2], row
+
+
+@pytest.mark.parametrize("args,keys", [
+    (["run", "--algos", "lms,asrmae,dfb_asrmae"], ["lms", "asrmae", "dfb_asrmae"]),
+    (["sweep-rank", "--ranks", "2,1,3", "--algo", "dfb_asrmae"], [1, 2, 3]),
+], ids=["run", "sweep-rank"])
+def test_each_job_is_one_algorithm_call_per_seed(tmp_path, monkeypatch, args, keys):
+    # A benchmark wraps ALGORITHMS[algo] and captures each call's result: every
+    # (job, seed) must be one call returning the (N, K) channel.
+    calls = []
+    for algo, fn in list(cli.ALGORITHMS.items()):
+        def counted(obs, cfg, algo=algo, fn=fn):
+            result = fn(obs, cfg)
+            calls.append((cfg.rank if args[0] == "sweep-rank" else algo,
+                          obs.seed - cli.NOISE_SEED_OFFSET, result.h_tracked.shape))
+            return result
+        monkeypatch.setitem(cli.ALGORITHMS, algo, counted)
+    assert run_cli([*args, *SMALL, "--seeds", "2", "--out", tmp_path / "out"]) == 0
+    assert sorted(calls, key=str) == sorted(
+        [(key, seed, (300, 12)) for key in keys for seed in (0, 1)], key=str)
 
 
 def test_run_emits_expected_files_and_manifest(tmp_path):

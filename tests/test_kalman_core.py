@@ -611,3 +611,28 @@ def test_output_covariances_stay_psd():
             evals = np.linalg.eigvalsh(out)
             assert evals.min() >= -1e-8 * max(np.trace(out).real, 1e-30)
         mean, cov = pred_mean, pred_cov
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_predict_transition_members_fall_back_one_by_one(order):
+    # Three stacked models of two components each; the middle one has a
+    # component at zero power and keeps its own previous coefficients.
+    rng = np.random.default_rng(8)
+    tables = []
+    for _ in range(3):
+        acc = RecursiveAutocorr(2, order)
+        for row in rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2)):
+            acc.update(row)
+        tables.append(acc.table.copy())
+    tables[1][0] = 0.0
+    previous = np.full((6, order), 0.25 + 0j)
+    phi = predict_transition(np.concatenate(tables), previous=previous, members=3)
+    assert np.array_equal(phi[2:4], previous[2:4])
+    for i in (0, 2):
+        assert np.array_equal(phi[2 * i:2 * i + 2], predict_transition(tables[i]))
+    tables[0][1] = 0.0
+    tables[2][0, 0] = -1.0
+    stacked = np.concatenate(tables)
+    assert predict_transition(stacked, previous=previous, members=3) is previous
+    with pytest.raises(InvalidInputError, match="members"):
+        predict_transition(stacked, previous=previous, members=4)

@@ -11,6 +11,7 @@ from subtrack.channel_sim import (SimConfig, gen_symbols, generate_observations,
                                   latent_trajectory, noise_variance_for_snr,
                                   synth_latent_channel)
 from subtrack.coarse_est import fit_coarse_model, lms_track
+import subtrack.pipeline as pipeline
 from subtrack.errors import InvalidInputError, NumericError, SubtrackError
 from subtrack.pipeline import (ALGORITHMS, TrackerConfig, run_asrmae,
                                run_dfb_asrmae, run_lms)
@@ -417,3 +418,98 @@ def test_forward_filter_builds_no_model_object(monkeypatch, fb_smoothing):
     run_dfb_asrmae(obs, TrackerConfig(rank=3, n_train=100, fb_smoothing=fb_smoothing))
     assert len(builds) == len(inversions)
     assert (len(inversions) > 0) == fb_smoothing
+
+
+# ------------------------------------------- lockstep forward loop (batch axis)
+LOCKSTEP_FIELDS = ("h_tracked", "xi", "err_db", "components", "phi_traj")
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lockstep_members_equal_standalone_runs(grid_record, order):
+    # Ranks 1, 3 and 8 with mixed flag sets share one forward loop; each member
+    # equals its own run on a fresh record.  At p = 2 the backward pass
+    # overflows, so smoothing stays off there.
+    smooth = order == 1
+    jobs = [("dfb_asrmae", TrackerConfig(order=order, rank=1, n_train=100,
+                                         fb_smoothing=smooth)),
+            ("asrmae", TrackerConfig(order=order, rank=8, n_train=100)),
+            ("dfb_asrmae", TrackerConfig(order=order, rank=3, n_train=100,
+                                         correlated_noise=False, fb_smoothing=smooth)),
+            ("dfb_asrmae", TrackerConfig(order=order, rank=8, n_train=100,
+                                         dynamic_phi=False, fb_smoothing=False)),
+            ("dfb_asrmae", TrackerConfig(order=order, rank=3, n_train=100,
+                                         fb_smoothing=False))]
+    obs = fresh(grid_record)
+    pipeline.register_jobs(obs, jobs)
+    stacked = [ALGORITHMS[algo](obs, cfg) for algo, cfg in jobs]
+    for (algo, cfg), got in zip(jobs, stacked):
+        alone = ALGORITHMS[algo](fresh(grid_record), cfg)
+        for field in LOCKSTEP_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(alone, field)), (
+                algo, cfg.rank, field)
+
+
+def test_lockstep_loop_runs_once_for_every_announced_job(grid_record, monkeypatch):
+    loops = []
+    real = pipeline._forward_loop
+    monkeypatch.setattr(pipeline, "_forward_loop",
+                        lambda r, members, *a: loops.append(len(members))
+                        or real(r, members, *a))
+    obs = fresh(grid_record)
+    jobs = [(algo, TrackerConfig(rank=rank, n_train=100))
+            for rank in (3, 2) for algo in ("lms", "asrmae", "dfb_asrmae")]
+    pipeline.register_jobs(obs, jobs)
+    for algo, cfg in jobs:
+        ALGORITHMS[algo](obs, cfg)
+    assert loops == [4]
+    # Nothing is held once every job has run; an unannounced job runs alone.
+    assert pipeline._JOBS[obs] == []
+    run_asrmae(obs, TrackerConfig(rank=3, n_train=100))
+    assert loops == [4, 1]
+
+
+def lockstep_member(rows, **kw):
+    rank = rows.shape[1]
+    params = dict(rank=rank, rows=rows, phi=np.full((rank, 1), 0.9 + 0j),
+                  noise_cov=0.01 * np.eye(rank, dtype=complex), sigma=0.1, scale=1.0,
+                  dynamic=True, smoothing=False)
+    params.update(kw)
+    return pipeline._Member(**params)
+
+
+def lockstep_inputs(n_steps=200, rank=3, seed=7):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_steps, rank)) + 1j * rng.standard_normal((n_steps, rank))
+    r_seq = rng.standard_normal(n_steps) + 1j * rng.standard_normal(n_steps)
+    return rows, r_seq
+
+
+def test_lockstep_diverging_member_is_a_numeric_error():
+    rows, r_seq = lockstep_inputs()
+    healthy = lockstep_member(rows)
+    # Process noise near the largest double: the symmetrisation overflows.
+    huge = lockstep_member(rows, noise_cov=1e308 * np.eye(3, dtype=complex))
+    pipeline._forward_loop(r_seq, [healthy], 1, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="forward filter"):
+            pipeline._forward_loop(r_seq, [healthy, huge], 1, 50)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lockstep_zero_power_component_freezes_only_its_member(order):
+    # Member 0's first component is never observed, so its zero-lag sum stays
+    # zero and its re-fit keeps the training coefficients; member 1 re-fits.
+    rows, r_seq = lockstep_inputs()
+    blind_rows = rows.copy()
+    blind_rows[:, 0] = 0.0
+    phi = np.full((3, order), 0.9 / order + 0j)
+    blind = lockstep_member(blind_rows, phi=phi)
+    seeing = lockstep_member(rows, phi=phi)
+    n_train = 50
+    out_blind, out_seeing = pipeline._forward_loop(r_seq, [blind, seeing], order, n_train)
+    assert np.array_equal(out_blind.phi_traj, np.broadcast_to(np.abs(phi[:, 0]), (200, 3)))
+    assert not np.array_equal(out_seeing.phi_traj[n_train + 1], np.abs(phi[:, 0]))
+    (alone,) = pipeline._forward_loop(r_seq, [lockstep_member(rows, phi=phi)], order, n_train)
+    for field in ("xi", "means", "phi_traj"):
+        assert np.array_equal(getattr(out_seeing, field), getattr(alone, field)), field
